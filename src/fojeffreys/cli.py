@@ -81,8 +81,17 @@ def _resolve_params(args, required: bool = True) -> FoJeffreysParams | None:
     return params
 
 
+def _require_fine_grid(spec: SignalSpec) -> SignalSpec:
+    if spec.n_samples < _MIN_GRID_SAMPLES:
+        raise ValueError(
+            f"grid too coarse: duration/step yields {spec.n_samples} samples, "
+            f"need at least {_MIN_GRID_SAMPLES}"
+        )
+    return spec
+
+
 def _signal_spec(args) -> SignalSpec:
-    spec = SignalSpec(
+    return _require_fine_grid(SignalSpec(
         kind=args.signal,
         duration=args.duration,
         step=args.step,
@@ -90,13 +99,7 @@ def _signal_spec(args) -> SignalSpec:
         amplitude=args.amplitude,
         rate=args.rate,
         frequency=args.frequency,
-    )
-    if spec.n_samples < _MIN_GRID_SAMPLES:
-        raise ValueError(
-            f"grid too coarse: duration/step yields {spec.n_samples} samples, "
-            f"need at least {_MIN_GRID_SAMPLES}"
-        )
-    return spec
+    ))
 
 
 def _cmd_freqresp(args) -> int:
@@ -137,8 +140,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = dataio.read_frf(args.frf)
-    # An initial guess need not satisfy the physical constraints; the
-    # optimizer enforces them on the returned parameters.
+    # An initial guess need not satisfy the physical constraints; the fit's
+    # parameterisation admits only constrained parameters.
     args.unconstrained = True
     initial = _resolve_params(args, required=False)
     config = FitConfig(
@@ -148,7 +151,6 @@ def _cmd_fit(args) -> int:
         tolerance=args.tolerance,
         multistart=args.multistart,
         seed=args.seed,
-        jobs=args.jobs,
     )
     exit_code = EXIT_OK
     try:
@@ -186,14 +188,9 @@ def _cmd_impulse_study(args) -> int:
             raise ValueError(f"integrator order {g} outside the open interval (0, 2)")
     args.gamma = 1.0
     base = _resolve_params(args)
-    spec = SignalSpec(
+    spec = _require_fine_grid(SignalSpec(
         kind="impulse", duration=args.duration, step=args.step, area=args.area
-    )
-    if spec.n_samples < _MIN_GRID_SAMPLES:
-        raise ValueError(
-            f"grid too coarse: duration/step yields {spec.n_samples} samples, "
-            f"need at least {_MIN_GRID_SAMPLES}"
-        )
+    ))
     signal = generate_signal(spec)
     limit = _DIVERGENCE_FACTOR * abs(spec.area) / base.mu
 
@@ -266,11 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--frf", required=True, help="input FRF file")
     p_fit.add_argument("--model-class", choices=("FO", "IO"), default="FO")
     p_fit.add_argument("--report", required=True, help="fit report file")
-    p_fit.add_argument("--max-iterations", type=int, default=5000)
+    p_fit.add_argument(
+        "--max-iterations", type=int, default=5000,
+        help="residual evaluations per restart, Jacobian ones excluded",
+    )
     p_fit.add_argument("--tolerance", type=float, default=1.0e-12)
     p_fit.add_argument("--multistart", type=int, default=3)
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--jobs", type=int, default=1)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_study = sub.add_parser(

@@ -28,27 +28,8 @@ __all__ = [
 ]
 
 
-# Lanczos coefficients (g = 7, n = 9); relative error well below 1e-13 on
-# the real axis away from the poles.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(z: float) -> float:
-    """Gamma function for real arguments.
-
-    Uses the Lanczos approximation for z >= 0.5 and the reflection formula
-    ``Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))`` otherwise.
+    """Gamma function for real arguments, via ``math.gamma``.
 
     Parameters
     ----------
@@ -65,14 +46,7 @@ def gamma_fn(z: float) -> float:
         raise ValueError(f"gamma_fn requires a finite argument, got {z}")
     if z <= 0.0 and z == math.floor(z):
         raise ValueError(f"gamma_fn pole at z={z}")
-    if z < 0.5:
-        return math.pi / (math.sin(math.pi * z) * gamma_fn(1.0 - z))
-    x = z - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
+    return math.gamma(z)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

@@ -2,20 +2,21 @@
 
 The objective sums squared magnitude errors in dB and squared phase errors
 in degrees with equal weight; phases are unwrapped continuously across the
-sweep before differencing. Minimization uses a derivative-free simplex
-search over a transformed parameter space (log for the positive gains and
-time constants, a logit map onto (0, 2) for the shared fractional order)
-with the lambda2 > lambda1 constraint enforced by penalty.
+sweep before differencing. The fit runs Levenberg-Marquardt
+(Moré 1978) on the residual vector [dB residuals, degree residuals] in the
+coordinates u = [log mu, log lambda2, logit(lambda1 / lambda2),
+logit(alpha / 2)], the last for the FO class only. Every u maps to
+parameters with 0 < lambda1 < lambda2 and 0 < alpha < 2, so the constraints
+hold by construction.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .model import FoJeffreysParams, freq_response, validate
 
@@ -30,8 +31,11 @@ __all__ = [
     "residual_report",
 ]
 
-_PENALTY_SCALE = 1.0e8
-_BAD_OBJECTIVE = 1.0e30
+# Clipping every coordinate makes the map from u to parameters total: logs
+# within +-300 keep freq_response finite for 1e-6 <= omega <= 1e6 rad/s, and
+# logits within +-30 keep the sigmoid strictly inside (0, 1).
+_LOG_CLIP = 300.0
+_LOGIT_CLIP = 30.0
 
 
 class FitNonConvergenceError(RuntimeError):
@@ -40,7 +44,7 @@ class FitNonConvergenceError(RuntimeError):
     def __init__(self, result: "FitResult"):
         self.result = result
         super().__init__(
-            "no restart converged within the iteration budget "
+            "no restart converged within the evaluation budget "
             f"(best objective {result.objective:.6g})"
         )
 
@@ -105,8 +109,11 @@ class FitConfig:
     ``model_class`` selects the fractional-order fit ("FO": shared order
     alpha = beta estimated, gamma pinned to 1) or the integer-order
     comparison ("IO": alpha = beta = gamma = 1). ``multistart`` counts
-    randomized restarts of the simplex search; restart 0 always starts from
-    the supplied (or heuristic) initial guess.
+    randomized restarts of the least-squares solve; restart 0 always starts
+    from the supplied (or heuristic) initial guess. ``max_iterations`` caps
+    the residual evaluations of each restart, not counting those of the
+    finite-difference Jacobian, and ``tolerance`` is the relative tolerance
+    on the objective, the step and the gradient.
     """
 
     model_class: str = "FO"
@@ -115,19 +122,16 @@ class FitConfig:
     tolerance: float = 1.0e-12
     multistart: int = 3
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.model_class not in ("FO", "IO"):
             raise ValueError(f"model_class must be 'FO' or 'IO', got {self.model_class!r}")
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not float(self.tolerance) > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not float(self.tolerance) >= np.finfo(float).eps:
+            raise ValueError("tolerance must be at least the machine epsilon")
         if int(self.multistart) < 1:
             raise ValueError("multistart must be >= 1")
-        if int(self.jobs) < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,9 @@ class FitResult:
     """Identified parameters with convergence diagnostics.
 
     ``objective`` equals the sum of squared per-point residuals
-    (dB^2 + deg^2). ``converged`` reports whether the winning restart met
-    the improvement tolerance before exhausting its iteration budget.
+    (dB^2 + deg^2). ``iterations`` counts the residual evaluations of the
+    winning restart, Jacobian ones excluded, and ``converged`` reports
+    whether that restart met a tolerance before exhausting its budget.
     """
 
     params: FoJeffreysParams
@@ -239,116 +244,51 @@ def _default_initial_guess(data: FrfDataset, model_class: str) -> FoJeffreysPara
     )
 
 
+def _logit(x: float) -> float:
+    x = min(max(x, 1.0e-6), 1.0 - 1.0e-6)  # an initial guess may violate (0, 1)
+    return math.log(x / (1.0 - x))
+
+
+def _clip(v: float, bound: float) -> float:
+    return min(max(v, -bound), bound)
+
+
+def _sigmoid(v: float) -> float:
+    return 1.0 / (1.0 + math.exp(-_clip(v, _LOGIT_CLIP)))
+
+
 def _pack(params: FoJeffreysParams, model_class: str) -> np.ndarray:
-    u = [math.log(params.mu), math.log(params.lambda1), math.log(params.lambda2)]
+    u = [
+        math.log(params.mu),
+        math.log(params.lambda2),
+        _logit(params.lambda1 / params.lambda2),
+    ]
     if model_class == "FO":
-        alpha = min(max(params.alpha, 1e-6), 2.0 - 1e-6)
-        u.append(math.log(alpha / (2.0 - alpha)))
+        u.append(_logit(params.alpha / 2.0))
     return np.array(u)
 
 
-def _unpack(u: np.ndarray, model_class: str) -> FoJeffreysParams | None:
-    try:
-        mu, lambda1, lambda2 = (math.exp(v) for v in u[:3])
-        if model_class == "FO":
-            alpha = 2.0 / (1.0 + math.exp(-u[3]))
-        else:
-            alpha = 1.0
-        return FoJeffreysParams(
-            mu=mu, lambda1=lambda1, lambda2=lambda2, alpha=alpha, beta=alpha, gamma=1.0
-        )
-    except (OverflowError, ValueError):
-        return None
-
-
-def _penalized_objective(u: np.ndarray, data: FrfDataset, model_class: str) -> float:
-    params = _unpack(u, model_class)
-    if params is None:
-        return _BAD_OBJECTIVE
-    violation = max(0.0, float(u[1] - u[2]))  # log(lambda1) - log(lambda2)
-    penalty = _PENALTY_SCALE * violation * (1.0 + violation)
-    try:
-        value = objective(params, data)
-    except (OverflowError, FloatingPointError):
-        return _BAD_OBJECTIVE
-    if not math.isfinite(value):
-        return _BAD_OBJECTIVE
-    return value + penalty
-
-
-def _enforce_feasible(params: FoJeffreysParams) -> FoJeffreysParams:
-    if params.lambda2 > params.lambda1:
-        return params
-    # On-boundary iterates can only arise at lambda1 ~ lambda2; open the gap
-    # by a relative epsilon so constrained validation always passes.
-    lambda2 = max(params.lambda1, params.lambda2) * (1.0 + 1.0e-9)
-    lambda1 = min(params.lambda1, params.lambda2) * (1.0 - 1.0e-9)
+def _unpack(u: np.ndarray, model_class: str) -> FoJeffreysParams:
+    lambda2 = math.exp(_clip(u[1], _LOG_CLIP))
+    alpha = 2.0 * _sigmoid(u[3]) if model_class == "FO" else 1.0
     return FoJeffreysParams(
-        mu=params.mu,
-        lambda1=lambda1,
+        mu=math.exp(_clip(u[0], _LOG_CLIP)),
+        lambda1=lambda2 * _sigmoid(u[2]),
         lambda2=lambda2,
-        alpha=params.alpha,
-        beta=params.beta,
-        gamma=params.gamma,
-    )
-
-
-@dataclass
-class _RestartOutcome:
-    index: int
-    params: FoJeffreysParams
-    objective: float
-    iterations: int
-    converged: bool
-    incumbent_trace: list[float]
-
-
-def _run_restart(
-    index: int,
-    u0: np.ndarray,
-    data: FrfDataset,
-    config: FitConfig,
-) -> _RestartOutcome:
-    trace: list[float] = []
-
-    def fun(u: np.ndarray) -> float:
-        value = _penalized_objective(u, data, config.model_class)
-        trace.append(min(value, trace[-1]) if trace else value)
-        return value
-
-    res = minimize(
-        fun,
-        u0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": int(config.max_iterations),
-            "maxfev": 50 * int(config.max_iterations),
-            "xatol": 1.0e-10,
-            "fatol": float(config.tolerance),
-        },
-    )
-    params = _unpack(np.asarray(res.x, dtype=float), config.model_class)
-    if params is None:
-        params = _enforce_feasible(_default_initial_guess(data, config.model_class))
-    params = _enforce_feasible(params)
-    return _RestartOutcome(
-        index=index,
-        params=params,
-        objective=objective(params, data),
-        iterations=int(res.nit),
-        converged=bool(res.success),
-        incumbent_trace=trace,
+        alpha=alpha,
+        beta=alpha,
+        gamma=1.0,
     )
 
 
 def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     """Identify model parameters from an FRF dataset.
 
-    Runs ``config.multistart`` simplex searches (the first from the supplied
-    or heuristic initial guess, the rest from deterministic seeded
-    perturbations of it) and returns the best feasible outcome. Returned
-    parameters always satisfy the constrained-mode validation of the FO
-    class.
+    Runs ``config.multistart`` Levenberg-Marquardt solves on the residual
+    vector (the first from the supplied or heuristic initial guess, the rest
+    from deterministic seeded perturbations of it) and returns the restart
+    with the lowest objective, the earliest on ties. Returned parameters
+    always satisfy the constrained-mode validation of the FO class.
 
     Raises
     ------
@@ -366,29 +306,28 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     for _ in range(config.multistart - 1):
         starts.append(u0 + rng.uniform(-0.3, 0.3, size=u0.shape))
 
-    if config.jobs > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda iu: _run_restart(iu[0], iu[1], data, config),
-                    enumerate(starts),
-                )
-            )
-    else:
-        outcomes = [
-            _run_restart(i, start, data, config) for i, start in enumerate(starts)
-        ]
+    def residuals(u: np.ndarray) -> np.ndarray:
+        return np.concatenate(_residual_arrays(_unpack(u, config.model_class), data))
 
-    best = min(outcomes, key=lambda o: (o.objective, o.index))
-    res_db, res_deg = _residual_arrays(best.params, data)
+    tol = float(config.tolerance)
+    solutions = [
+        least_squares(
+            residuals, start, method="lm", ftol=tol, xtol=tol, gtol=tol,
+            max_nfev=int(config.max_iterations),
+        )
+        for start in starts
+    ]
+    best = min(solutions, key=lambda sol: sol.cost)
+    params = _unpack(best.x, config.model_class)
+    res_db, res_deg = _residual_arrays(params, data)
     result = FitResult(
-        params=best.params,
+        params=params,
         objective=float(np.sum(res_db**2) + np.sum(res_deg**2)),
-        iterations=best.iterations,
-        converged=best.converged,
+        iterations=int(best.nfev),
+        converged=bool(best.success),
         per_point_residuals=np.column_stack([res_db, res_deg]),
     )
     assert not validate(result.params, "constrained")
-    if not any(o.converged for o in outcomes):
+    if not any(sol.success for sol in solutions):
         raise FitNonConvergenceError(result)
     return result

@@ -313,22 +313,6 @@ class TestFit:
         assert r1.read_bytes() == r2.read_bytes()
         assert out1 == out2
 
-    def test_jobs_flag_keeps_results_deterministic(self, tmp_path, capsys):
-        frf = self.make_frf_file(tmp_path, capsys)
-        r1, r2 = tmp_path / "j1.csv", tmp_path / "j2.csv"
-        _, out1, _ = run(
-            capsys,
-            "fit", "--frf", str(frf), "--report", str(r1),
-            "--seed", "3", "--multistart", "4", "--jobs", "1",
-        )
-        _, out2, _ = run(
-            capsys,
-            "fit", "--frf", str(frf), "--report", str(r2),
-            "--seed", "3", "--multistart", "4", "--jobs", "3",
-        )
-        assert r1.read_bytes() == r2.read_bytes()
-        assert out1 == out2
-
 
 class TestImpulseStudy:
     def test_trichotomy_columns_and_trends(self, tmp_path, capsys):
