@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -194,37 +195,19 @@ def _cmd_impulse_study(args) -> int:
     signal = generate_signal(spec)
     limit = _DIVERGENCE_FACTOR * abs(spec.area) / base.mu
 
-    columns = []
+    columns = [signal.times]
     for g in gammas:
-        params = FoJeffreysParams(
-            mu=base.mu,
-            lambda1=base.lambda1,
-            lambda2=base.lambda2,
-            alpha=base.alpha,
-            beta=base.beta,
-            gamma=g,
-        )
-        result = simulate(params, signal, divergence_limit=limit)
+        result = simulate(replace(base, gamma=g), signal, divergence_limit=limit)
         columns.append(result.output.samples)
-        print(
-            json.dumps(
-                {
-                    "gamma": g,
-                    "final_value": float(result.output.samples[-1]),
-                    "late_trend": classify_late_trend(result.output),
-                },
-                sort_keys=True,
-            )
-        )
+        summary = {
+            "gamma": g,
+            "final_value": float(result.output.samples[-1]),
+            "late_trend": classify_late_trend(result.output),
+        }
+        print(json.dumps(summary, sort_keys=True))
 
     header = "time_s," + ",".join(f"x_gamma_{g:g}" for g in gammas)
-    lines = [header]
-    times = signal.times
-    for k in range(len(times)):
-        row = [repr(float(times[k]))] + [repr(float(col[k])) for col in columns]
-        lines.append(",".join(row))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    dataio.write_columns(header, columns, args.out)
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "read_params",
     "read_timeseries",
     "wrap_phase_deg",
+    "write_columns",
     "write_frf",
     "write_frf_rows",
     "write_fit_report",
@@ -58,17 +59,21 @@ def wrap_phase_deg(phase_deg):
     return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
+def write_columns(header: str, columns, path) -> None:
+    """Write equal-length numeric columns as rows below the ``header`` text."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(_fmt(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
 def write_frf_rows(frequencies_hz, magnitude_db, phase_deg, path) -> None:
     """Write raw FRF rows without dataset-level validation.
 
     Used for model sweeps of any length; :func:`write_frf` layers the
     dataset invariants on top.
     """
-    freqs = np.asarray(frequencies_hz, dtype=float)
-    lines = [FRF_HEADER]
-    for f, db, deg in zip(freqs, magnitude_db, phase_deg):
-        lines.append(f"{_fmt(f)},{_fmt(db)},{_fmt(deg)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_columns(FRF_HEADER, (frequencies_hz, magnitude_db, phase_deg), path)
 
 
 def write_frf(dataset: FrfDataset, path) -> None:
@@ -100,10 +105,7 @@ def read_frf(path) -> FrfDataset:
 
 def write_timeseries(series: TimeSeries, path) -> None:
     """Write a sampled signal as time/value rows."""
-    lines = [TIMESERIES_HEADER]
-    for t, v in zip(series.times, series.samples):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_columns(TIMESERIES_HEADER, (series.times, series.samples), path)
 
 
 def read_timeseries(path) -> TimeSeries:
@@ -135,32 +137,19 @@ def write_fit_report(result: FitResult, data: FrfDataset, path) -> None:
     a parameter file for :func:`read_params`.
     """
     report = residual_report(result, data)
-    lines = []
-    for name in _PARAM_FIELDS:
-        lines.append(f"{name},{_fmt(getattr(result.params, name))}")
-    lines.append(f"objective,{_fmt(result.objective)}")
-    lines.append(f"converged,{str(result.converged).lower()}")
-    lines.append(f"iterations,{result.iterations}")
-    lines.append(
+    lines = [f"{name},{_fmt(getattr(result.params, name))}" for name in _PARAM_FIELDS]
+    lines += [
+        f"objective,{_fmt(result.objective)}",
+        f"converged,{str(result.converged).lower()}",
+        f"iterations,{result.iterations}",
         "frequency_hz,measured_db,measured_deg,model_db,model_deg,"
-        "residual_db,residual_deg"
+        "residual_db,residual_deg",
+    ]
+    columns = (
+        report.frequency_hz, report.measured_db, report.measured_deg,
+        report.model_db, report.model_deg, report.residual_db, report.residual_deg,
     )
-    for i in range(len(report.frequency_hz)):
-        lines.append(
-            ",".join(
-                _fmt(column[i])
-                for column in (
-                    report.frequency_hz,
-                    report.measured_db,
-                    report.measured_deg,
-                    report.model_db,
-                    report.model_deg,
-                    report.residual_db,
-                    report.residual_deg,
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_columns("\n".join(lines), columns, path)
 
 
 def read_params(path) -> FoJeffreysParams:

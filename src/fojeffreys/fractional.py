@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = [
     "GlWeightTable",
@@ -134,15 +135,23 @@ def gl_weights(alpha: float, n: int) -> GlWeightTable:
     return GlWeightTable(order=alpha, weights=weights)
 
 
-def gl_differintegral(
-    f: TimeSeries,
-    alpha: float,
-    memory_length: int | None = None,
-) -> TimeSeries:
+def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First ``len(a)`` samples of the linear convolution ``a * b``.
+
+    Computed by real FFTs padded past ``2*len(a) - 1``, so no circular
+    wrap-around reaches the kept samples.
+    """
+    n = len(a)
+    size = next_fast_len(2 * n - 1, real=True)
+    return irfft(rfft(a, size) * rfft(b[:n], size), size)[:n]
+
+
+def gl_differintegral(f: TimeSeries, alpha: float) -> TimeSeries:
     """Order-``alpha`` differintegral of a sampled signal.
 
     Output sample k is ``h^(-alpha) * sum_{i=0..k} w_i * f[k-i]`` with zero
     history before t = 0; the result shares step and length with the input.
+    The full-history sum is one FFT convolution, O(n log n).
     ``alpha = 0`` returns the input unchanged.
 
     Parameters
@@ -151,10 +160,6 @@ def gl_differintegral(
         Input signal.
     alpha : float
         Differintegration order (negative values integrate).
-    memory_length : int, optional
-        Short-memory truncation: keep only the most recent ``memory_length``
-        history terms of the convolution. Default is the exact full-history
-        sum.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -163,14 +168,8 @@ def gl_differintegral(
         raise TypeError("gl_differintegral expects a TimeSeries input")
     if alpha == 0.0:
         return f
-    n = len(f)
-    n_weights = n - 1
-    if memory_length is not None:
-        if int(memory_length) < 1:
-            raise ValueError("memory_length must be a positive sample count")
-        n_weights = min(n_weights, int(memory_length))
-    weights = gl_weights(alpha, n_weights).weights
-    out = np.convolve(f.samples, weights)[:n] * f.step ** (-alpha)
+    weights = gl_weights(alpha, len(f) - 1).weights
+    out = _causal_convolve(f.samples, weights) * f.step ** (-alpha)
     return TimeSeries(step=f.step, samples=out)
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 
+import fojeffreys.cli
+from fojeffreys import SimulationResult, TimeSeries
 from fojeffreys.cli import main
 from fojeffreys.dataio import read_frf, read_params, read_timeseries
 
@@ -345,6 +347,40 @@ class TestImpulseStudy:
         summary = json.loads(out.strip().splitlines()[-1])
         plateau = 1.0 / 171e3
         assert abs(summary["final_value"] - plateau) / plateau <= 0.02
+
+    def test_file_bytes_pinned(self, tmp_path, capsys, monkeypatch):
+        # A stand-in solver with fixed outputs isolates the file format from
+        # the solver's rounding.
+        def fake_simulate(params, signal, divergence_limit=None):
+            k = np.arange(len(signal))
+            samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
+            output = TimeSeries(step=signal.step, samples=samples)
+            return SimulationResult(signal, output, params)
+
+        monkeypatch.setattr(fojeffreys.cli, "simulate", fake_simulate)
+        out_file = tmp_path / "study.csv"
+        code, _, _ = run(
+            capsys,
+            "impulse-study", *CYL_FLAGS,
+            "--gammas", "0.9,1.1",
+            "--duration", "0.1", "--step", "0.01",
+            "--out", str(out_file),
+        )
+        assert code == 0
+        assert out_file.read_bytes() == (
+            b"time_s,x_gamma_0.9,x_gamma_1.1\n"
+            b"0.0,0.3,0.3666666666666667\n"
+            b"0.01,0.5829,0.7162333333333334\n"
+            b"0.02,0.8316,1.0316\n"
+            b"0.03,1.0461,1.3127666666666669\n"
+            b"0.04,1.2264,1.5597333333333332\n"
+            b"0.05,1.3725,1.7725000000000002\n"
+            b"0.06,1.4844,1.9510666666666667\n"
+            b"0.07,1.5621,2.0954333333333337\n"
+            b"0.08,1.6055999999999997,2.2056000000000004\n"
+            b"0.09,1.6149,2.2815666666666665\n"
+            b"0.1,1.5900000000000003,2.323333333333334\n"
+        )
 
     def test_out_of_bounds_gamma(self, tmp_path, capsys):
         code, _, err = run(

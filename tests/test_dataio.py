@@ -13,6 +13,7 @@ from fojeffreys.dataio import (
     wrap_phase_deg,
     write_fit_report,
     write_frf,
+    write_columns,
     write_frf_rows,
     write_timeseries,
 )
@@ -205,3 +206,9 @@ def test_write_frf_rows_allows_short_sweeps(tmp_path):
     assert len(path.read_text().splitlines()) == 3
     with pytest.raises(ValueError, match="at least 4"):
         read_frf(path)
+
+
+def test_write_columns_formats_shortest_round_trip(tmp_path):
+    path = tmp_path / "cols.csv"
+    write_columns("a,b", ([0.1, 1e-300], np.array([1.0 / 3.0, -2.0])), path)
+    assert path.read_bytes() == b"a,b\n0.1,0.3333333333333333\n1e-300,-2.0\n"

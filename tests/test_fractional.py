@@ -182,21 +182,17 @@ class TestGlDifferintegral:
         direct = gl_differintegral(series, -1.2).samples
         assert np.max(np.abs(stacked - direct)) <= 1e-10
 
-    def test_memory_truncation(self):
+    @pytest.mark.parametrize("order", [-1.3, -0.5, 0.5, 1.571])
+    def test_matches_direct_history_sum(self, order):
+        # The FFT convolution reproduces the full-history sum, with no
+        # wrap-around into early samples.
         h = 1e-3
-        t = np.arange(0, 1.0 + h / 2, h)
-        series = TimeSeries(step=h, samples=np.sin(3.0 * t))
-        full = gl_differintegral(series, 0.5).samples
-        same = gl_differintegral(series, 0.5, memory_length=len(series)).samples
-        np.testing.assert_array_equal(full, same)
-        # the truncated sum is exact while the history fits in the window and
-        # an approximation beyond it
-        window = 200
-        short = gl_differintegral(series, 0.5, memory_length=window).samples
-        np.testing.assert_array_equal(short[: window + 1], full[: window + 1])
-        assert not np.array_equal(full, short)
-        with pytest.raises(ValueError):
-            gl_differintegral(series, 0.5, memory_length=0)
+        rng = np.random.default_rng(3)
+        series = TimeSeries(step=h, samples=rng.normal(size=5001))
+        weights = gl_weights(order, len(series) - 1).weights
+        direct = np.convolve(series.samples, weights)[: len(series)] * h ** (-order)
+        got = gl_differintegral(series, order).samples
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_invalid_order(self):
         series = TimeSeries(step=0.1, samples=[1.0, 2.0])

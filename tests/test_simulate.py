@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fojeffreys import (
     FoJeffreysParams,
@@ -193,6 +195,63 @@ class TestSimulate:
         assert len(result.input) == len(result.output)
         assert result.input.step == result.output.step
         assert result.params is cylinder_params
+
+
+@st.composite
+def constrained_case(draw):
+    """Random constrained parameters, step and a seeded force record."""
+    lambda2 = 10.0 ** draw(st.floats(-3.0, 0.0))
+    alpha = draw(st.floats(0.1, 1.9))
+    params = FoJeffreysParams(
+        mu=10.0 ** draw(st.floats(-3.0, 6.0)),
+        lambda1=lambda2 * draw(st.floats(0.01, 0.99)),
+        lambda2=lambda2,
+        alpha=alpha,
+        beta=alpha,
+        gamma=1.0,
+    )
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = 10.0 ** draw(st.floats(-4.0, -1.0))
+    return params, TimeSeries(step=step, samples=rng.normal(size=n)), rng
+
+
+class TestCausality:
+    """The response at sample k depends only on tau[0..k], shifted with it.
+
+    Both properties fail if the FFT convolution wraps around or is padded
+    too little.
+    """
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(constrained_case(), st.integers(1, 500))
+    def test_prepended_zeros_delay_the_response(self, case, k):
+        params, tau, _ = case
+        x = simulate(params, tau).output.samples
+        delayed = TimeSeries(
+            step=tau.step, samples=np.concatenate([np.zeros(k), tau.samples])
+        )
+        got = simulate(params, delayed).output.samples
+        # The kernel is recomputed for the longer record, and its rounding is
+        # amplified by the stiffness lambda2 * h^-alpha of the displacement
+        # solve (the ratio of the two terms on its diagonal).
+        stiffness = params.lambda2 * tau.step ** (-params.alpha)
+        tol = 1e-12 * max(1.0, stiffness / 10.0) * np.max(np.abs(x))
+        np.testing.assert_allclose(got[:k], 0.0, rtol=0, atol=tol)
+        np.testing.assert_allclose(got[k:], x, rtol=0, atol=tol)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(constrained_case(), st.floats(0.0, 1.0))
+    def test_later_input_leaves_earlier_output(self, case, fraction):
+        params, tau, rng = case
+        j = int(fraction * (len(tau) - 1))
+        changed = tau.samples.copy()
+        changed[j:] = rng.normal(size=len(tau) - j)
+        x = simulate(params, tau).output.samples
+        got = simulate(params, TimeSeries(step=tau.step, samples=changed)).output.samples
+        np.testing.assert_allclose(
+            got[:j], x[:j], rtol=0, atol=1e-12 * np.max(np.abs(x))
+        )
 
 
 class TestImpulseFinalValue:
