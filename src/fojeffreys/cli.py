@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -38,41 +38,46 @@ _MIN_GRID_SAMPLES = 10
 _DIVERGENCE_FACTOR = 1.0e12
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+_PARAM_NAMES = tuple(f.name for f in fields(FoJeffreysParams))
+# The "model parameters" flags; each command adds the ones it reads.
+_PARAM_FLAGS = {
+    "mu": {"type": float, "help": "viscosity-like gain"},
+    "lambda1": {"type": float, "help": "relaxation-side constant"},
+    "lambda2": {"type": float, "help": "retardation-side constant"},
+    "alpha": {"type": float, "help": "displacement-branch order"},
+    "beta": {"type": float, "help": "force-branch order (default: alpha)"},
+    "gamma": {"type": float, "help": "integrator order (default: 1)"},
+    "unconstrained": {
+        "action": "store_true", "help": "skip the physical-constraint validation"
+    },
+}
+
+
+def _add_param_flags(parser: argparse.ArgumentParser, names) -> None:
     group = parser.add_argument_group("model parameters")
     group.add_argument("--params", metavar="FILE", help="parameter file or fit report")
-    group.add_argument("--mu", type=float, help="viscosity-like gain")
-    group.add_argument("--lambda1", type=float, help="relaxation-side constant")
-    group.add_argument("--lambda2", type=float, help="retardation-side constant")
-    group.add_argument("--alpha", type=float, help="displacement-branch order")
-    group.add_argument("--beta", type=float, help="force-branch order (default: alpha)")
-    group.add_argument("--gamma", type=float, help="integrator order (default: 1)")
-    group.add_argument(
-        "--unconstrained",
-        action="store_true",
-        help="skip the physical-constraint validation",
-    )
+    for name in names:
+        group.add_argument(f"--{name}", **_PARAM_FLAGS[name])
 
 
 def _resolve_params(args, required: bool = True) -> FoJeffreysParams | None:
-    values: dict[str, float] = {}
-    if args.params:
-        base = dataio.read_params(args.params)
-        values = {name: getattr(base, name) for name in
-                  ("mu", "lambda1", "lambda2", "alpha", "beta", "gamma")}
-    for name in ("mu", "lambda1", "lambda2", "alpha", "beta", "gamma"):
-        override = getattr(args, name)
+    values = asdict(dataio.read_params(args.params)) if args.params else {}
+    for name in _PARAM_NAMES:
+        override = getattr(args, name, None)
         if override is not None:
             values[name] = override
     if not values and not required:
         return None
-    missing = [n for n in ("mu", "lambda1", "lambda2", "alpha") if n not in values]
+    missing = [n for n in _PARAM_NAMES if n not in values and n not in ("beta", "gamma")]
     if missing:
         raise ValueError(f"missing model parameters: {', '.join(missing)}")
     values.setdefault("beta", values["alpha"])
     values.setdefault("gamma", 1.0)
     params = FoJeffreysParams(**values)
-    if not args.unconstrained:
+    # fit has no --unconstrained: its initial guess need not satisfy the
+    # constraints, because the fit's parameterisation admits only constrained
+    # parameters.
+    if "unconstrained" in args and not args.unconstrained:
         violations = validate(params, "constrained")
         if violations:
             raise ValueError(
@@ -141,15 +146,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = dataio.read_frf(args.frf)
-    # An initial guess need not satisfy the physical constraints; the fit's
-    # parameterisation admits only constrained parameters.
-    args.unconstrained = True
     initial = _resolve_params(args, required=False)
     config = FitConfig(
         model_class=args.model_class,
         initial_guess=initial,
         max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
         multistart=args.multistart,
         seed=args.seed,
     )
@@ -163,12 +164,7 @@ def _cmd_fit(args) -> int:
     dataio.write_fit_report(result, data, args.report)
     summary = {
         "model_class": args.model_class,
-        "mu": result.params.mu,
-        "lambda1": result.params.lambda1,
-        "lambda2": result.params.lambda2,
-        "alpha": result.params.alpha,
-        "beta": result.params.beta,
-        "gamma": result.params.gamma,
+        **asdict(result.params),
         "objective": result.objective,
         "converged": result.converged,
         "iterations": result.iterations,
@@ -187,6 +183,8 @@ def _cmd_impulse_study(args) -> int:
     for g in gammas:
         if not math.isfinite(g) or not 0.0 < g < 2.0:
             raise ValueError(f"integrator order {g} outside the open interval (0, 2)")
+    # Each column sets its own gamma; the base parameters are validated with
+    # gamma = 1, whatever a parameter file holds.
     args.gamma = 1.0
     base = _resolve_params(args)
     spec = _require_fine_grid(SignalSpec(
@@ -219,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_freq = sub.add_parser("freqresp", help="evaluate the frequency response")
-    _add_param_flags(p_freq)
+    _add_param_flags(p_freq, _PARAM_FLAGS)
     p_freq.add_argument("--f-min", type=float, required=True, help="lowest frequency, Hz")
     p_freq.add_argument("--f-max", type=float, required=True, help="highest frequency, Hz")
     p_freq.add_argument("--n-points", type=int, default=20, help="log-spaced point count")
@@ -227,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_freq.set_defaults(func=_cmd_freqresp)
 
     p_sim = sub.add_parser("simulate", help="simulate the time-domain response")
-    _add_param_flags(p_sim)
+    _add_param_flags(p_sim, _PARAM_FLAGS)
     p_sim.add_argument(
         "--signal", required=True, choices=("impulse", "step", "slope", "sine")
     )
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="identify parameters from an FRF file")
-    _add_param_flags(p_fit)
+    _add_param_flags(p_fit, ("mu", "lambda1", "lambda2", "alpha"))
     p_fit.add_argument("--frf", required=True, help="input FRF file")
     p_fit.add_argument("--model-class", choices=("FO", "IO"), default="FO")
     p_fit.add_argument("--report", required=True, help="fit report file")
@@ -250,15 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iterations", type=int, default=5000,
         help="residual evaluations per restart, Jacobian ones excluded",
     )
-    p_fit.add_argument("--tolerance", type=float, default=1.0e-12)
     p_fit.add_argument("--multistart", type=int, default=3)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.set_defaults(func=_cmd_fit)
 
+    # Without allow_abbrev=False, "--gamma 1" would be read as "--gammas 1".
     p_study = sub.add_parser(
-        "impulse-study", help="impulse responses for a list of integrator orders"
+        "impulse-study", help="impulse responses for a list of integrator orders",
+        allow_abbrev=False,
     )
-    _add_param_flags(p_study)
+    _add_param_flags(p_study, [name for name in _PARAM_FLAGS if name != "gamma"])
     p_study.add_argument(
         "--gammas", required=True, help="comma-separated integrator orders"
     )

@@ -9,6 +9,7 @@ reproduces x exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -35,7 +36,6 @@ __all__ = [
 
 FRF_HEADER = "frequency_hz,magnitude_db,phase_deg"
 TIMESERIES_HEADER = "time_s,value"
-_PARAM_FIELDS = ("mu", "lambda1", "lambda2", "alpha", "beta", "gamma")
 
 
 class FrfParseError(ValueError):
@@ -61,10 +61,11 @@ def wrap_phase_deg(phase_deg):
 
 def write_columns(header: str, columns, path) -> None:
     """Write equal-length numeric columns as rows below the ``header`` text."""
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    # Formats the same as _fmt, column by column; float() of each element
+    # keeps peak memory below that of a tolist() copy.
+    rows = zip(*(map(repr, map(float, column)) for column in columns))
+    text = "\n".join([header, *map(",".join, rows)]) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def write_frf_rows(frequencies_hz, magnitude_db, phase_deg, path) -> None:
@@ -137,7 +138,8 @@ def write_fit_report(result: FitResult, data: FrfDataset, path) -> None:
     a parameter file for :func:`read_params`.
     """
     report = residual_report(result, data)
-    lines = [f"{name},{_fmt(getattr(result.params, name))}" for name in _PARAM_FIELDS]
+    params = dataclasses.asdict(result.params)
+    lines = [f"{name},{_fmt(value)}" for name, value in params.items()]
     lines += [
         f"objective,{_fmt(result.objective)}",
         f"converged,{str(result.converged).lower()}",
@@ -159,6 +161,7 @@ def read_params(path) -> FoJeffreysParams:
     everything else, so fit reports feed directly back into simulation and
     frequency-response commands.
     """
+    names = [f.name for f in dataclasses.fields(FoJeffreysParams)]
     found: dict[str, float] = {}
     text = Path(path).read_text(encoding="utf-8")
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -166,7 +169,7 @@ def read_params(path) -> FoJeffreysParams:
         if not line or line.startswith("#"):
             continue
         fields = line.split(",")
-        if len(fields) != 2 or fields[0] not in _PARAM_FIELDS:
+        if len(fields) != 2 or fields[0] not in names:
             continue
         try:
             found[fields[0]] = float(fields[1])
@@ -174,7 +177,7 @@ def read_params(path) -> FoJeffreysParams:
             raise FrfParseError(
                 path, line_number, f"bad value for {fields[0]!r}: {fields[1]!r}"
             ) from exc
-    missing = [name for name in _PARAM_FIELDS if name not in found]
+    missing = [name for name in names if name not in found]
     if missing:
         raise ValueError(f"{path}: missing parameter fields {missing}")
     return FoJeffreysParams(**found)

@@ -1,10 +1,11 @@
 """Least-squares identification of Jeffreys-model parameters from FRF data.
 
-The objective sums squared magnitude errors in dB and squared phase errors
-in degrees with equal weight; phases are unwrapped continuously across the
-sweep before differencing. The fit runs Levenberg-Marquardt
-(Moré 1978) on the residual vector [dB residuals, degree residuals] in the
-coordinates u = [log mu, log lambda2, logit(lambda1 / lambda2),
+One residual vector r = [dB residuals, degree residuals] compares model and
+data, with both phase curves unwrapped continuously across the sweep before
+differencing. The objective is ||r||^2 (dB^2 and deg^2 with equal weight),
+and the residual report tabulates r point by point. The fit runs
+Levenberg-Marquardt (Moré 1978) on r, to a fixed relative tolerance of 1e-12,
+in the coordinates u = [log mu, log lambda2, logit(lambda1 / lambda2),
 logit(alpha / 2)], the last for the FO class only. Every u maps to
 parameters with 0 < lambda1 < lambda2 and 0 < alpha < 2, so the constraints
 hold by construction.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -36,6 +38,7 @@ __all__ = [
 # logits within +-30 keep the sigmoid strictly inside (0, 1).
 _LOG_CLIP = 300.0
 _LOGIT_CLIP = 30.0
+_TOLERANCE = 1.0e-12  # relative; on the objective, the step and the gradient
 
 
 class FitNonConvergenceError(RuntimeError):
@@ -92,14 +95,19 @@ class FrfDataset:
         """Angular frequencies in rad/s."""
         return 2.0 * math.pi * self.frequencies_hz
 
-    @property
+    # Computed once and read-only: every residual report shares them.
+    @cached_property
     def magnitude_db(self) -> np.ndarray:
-        return 20.0 * np.log10(np.abs(self.gains))
+        db = 20.0 * np.log10(np.abs(self.gains))
+        db.flags.writeable = False
+        return db
 
-    @property
+    @cached_property
     def phase_deg_unwrapped(self) -> np.ndarray:
         """Phase in degrees, unwrapped continuously across the sweep."""
-        return np.degrees(np.unwrap(np.angle(self.gains)))
+        deg = np.degrees(np.unwrap(np.angle(self.gains)))
+        deg.flags.writeable = False
+        return deg
 
 
 @dataclass(frozen=True)
@@ -112,14 +120,13 @@ class FitConfig:
     randomized restarts of the least-squares solve; restart 0 always starts
     from the supplied (or heuristic) initial guess. ``max_iterations`` caps
     the residual evaluations of each restart, not counting those of the
-    finite-difference Jacobian, and ``tolerance`` is the relative tolerance
-    on the objective, the step and the gradient.
+    finite-difference Jacobian. The initial guess's beta and gamma are not
+    read: the FO class ties beta to alpha and pins gamma to 1.
     """
 
     model_class: str = "FO"
     initial_guess: FoJeffreysParams | None = None
     max_iterations: int = 5000
-    tolerance: float = 1.0e-12
     multistart: int = 3
     seed: int = 0
 
@@ -128,8 +135,6 @@ class FitConfig:
             raise ValueError(f"model_class must be 'FO' or 'IO', got {self.model_class!r}")
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not float(self.tolerance) >= np.finfo(float).eps:
-            raise ValueError("tolerance must be at least the machine epsilon")
         if int(self.multistart) < 1:
             raise ValueError("multistart must be >= 1")
 
@@ -173,29 +178,26 @@ class ResidualReport:
         return float(np.sum(self.residual_db**2) + np.sum(self.residual_deg**2))
 
 
-def _model_response_db_deg(
-    params: FoJeffreysParams, data: FrfDataset
-) -> tuple[np.ndarray, np.ndarray]:
+def _report(params: FoJeffreysParams, data: FrfDataset) -> ResidualReport:
+    # The one model-versus-data comparison behind objective, residual_report
+    # and the fit's residual vector.
     gains = freq_response(params, data.omega)
-    db = 20.0 * np.log10(np.abs(gains))
-    deg = np.degrees(np.unwrap(np.angle(gains)))
-    return db, deg
-
-
-def _aligned_phase(model_deg: np.ndarray, data_deg: np.ndarray) -> np.ndarray:
-    # Both phases are already continuous; align the 360-degree branch at the
-    # first point so the difference is branch-independent.
-    return model_deg - 360.0 * round((model_deg[0] - data_deg[0]) / 360.0)
-
-
-def _residual_arrays(
-    params: FoJeffreysParams, data: FrfDataset
-) -> tuple[np.ndarray, np.ndarray]:
-    model_db, model_deg = _model_response_db_deg(params, data)
+    model_db = 20.0 * np.log10(np.abs(gains))
+    model_deg = np.degrees(np.unwrap(np.angle(gains)))
     data_db = data.magnitude_db
     data_deg = data.phase_deg_unwrapped
-    model_deg = _aligned_phase(model_deg, data_deg)
-    return model_db - data_db, model_deg - data_deg
+    # Both phases are already continuous; align the 360-degree branch at the
+    # first point so the difference is branch-independent.
+    model_deg = model_deg - 360.0 * round((model_deg[0] - data_deg[0]) / 360.0)
+    return ResidualReport(
+        frequency_hz=data.frequencies_hz,
+        measured_db=data_db,
+        measured_deg=data_deg,
+        model_db=model_db,
+        model_deg=model_deg,
+        residual_db=model_db - data_db,
+        residual_deg=model_deg - data_deg,
+    )
 
 
 def objective(params: FoJeffreysParams, data: FrfDataset) -> float:
@@ -205,29 +207,17 @@ def objective(params: FoJeffreysParams, data: FrfDataset) -> float:
     points, with both phase curves unwrapped across the sweep before
     differencing.
     """
-    res_db, res_deg = _residual_arrays(params, data)
-    return float(np.sum(res_db**2) + np.sum(res_deg**2))
+    return _report(params, data).sum_squared
 
 
 def residual_report(result: FitResult, data: FrfDataset) -> ResidualReport:
     """Tabulate measured vs modeled response for every frequency.
 
     The sum of squared residuals reproduces ``result.objective`` to
-    round-off.
+    round-off. The measured and frequency columns are the dataset's own
+    read-only arrays.
     """
-    model_db, model_deg = _model_response_db_deg(result.params, data)
-    data_deg = data.phase_deg_unwrapped
-    model_deg = _aligned_phase(model_deg, data_deg)
-    data_db = data.magnitude_db
-    return ResidualReport(
-        frequency_hz=data.frequencies_hz.copy(),
-        measured_db=data_db,
-        measured_deg=data_deg,
-        model_db=model_db,
-        model_deg=model_deg,
-        residual_db=model_db - data_db,
-        residual_deg=model_deg - data_deg,
-    )
+    return _report(result.params, data)
 
 
 def _default_initial_guess(data: FrfDataset, model_class: str) -> FoJeffreysParams:
@@ -287,8 +277,11 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     Runs ``config.multistart`` Levenberg-Marquardt solves on the residual
     vector (the first from the supplied or heuristic initial guess, the rest
     from deterministic seeded perturbations of it) and returns the restart
-    with the lowest objective, the earliest on ties. Returned parameters
-    always satisfy the constrained-mode validation of the FO class.
+    with the lowest objective, the earliest on ties. Each solve stops at a
+    relative tolerance of 1e-12 on the objective, the step or the gradient,
+    or after ``config.max_iterations`` residual evaluations. Returned
+    parameters always satisfy the constrained-mode validation of the FO
+    class.
 
     Raises
     ------
@@ -307,25 +300,25 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
         starts.append(u0 + rng.uniform(-0.3, 0.3, size=u0.shape))
 
     def residuals(u: np.ndarray) -> np.ndarray:
-        return np.concatenate(_residual_arrays(_unpack(u, config.model_class), data))
+        report = _report(_unpack(u, config.model_class), data)
+        return np.concatenate([report.residual_db, report.residual_deg])
 
-    tol = float(config.tolerance)
     solutions = [
         least_squares(
-            residuals, start, method="lm", ftol=tol, xtol=tol, gtol=tol,
-            max_nfev=int(config.max_iterations),
+            residuals, start, method="lm", ftol=_TOLERANCE, xtol=_TOLERANCE,
+            gtol=_TOLERANCE, max_nfev=int(config.max_iterations),
         )
         for start in starts
     ]
     best = min(solutions, key=lambda sol: sol.cost)
     params = _unpack(best.x, config.model_class)
-    res_db, res_deg = _residual_arrays(params, data)
+    report = _report(params, data)
     result = FitResult(
         params=params,
-        objective=float(np.sum(res_db**2) + np.sum(res_deg**2)),
+        objective=report.sum_squared,
         iterations=int(best.nfev),
         converged=bool(best.success),
-        per_point_residuals=np.column_stack([res_db, res_deg]),
+        per_point_residuals=np.column_stack([report.residual_db, report.residual_deg]),
     )
     assert not validate(result.params, "constrained")
     if not any(sol.success for sol in solutions):

@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 
 import numpy as np
+import pytest
 
 import fojeffreys.cli
 from fojeffreys import SimulationResult, TimeSeries
@@ -315,6 +317,18 @@ class TestFit:
         assert r1.read_bytes() == r2.read_bytes()
         assert out1 == out2
 
+    def test_guess_violating_constraints_is_not_rejected(self, tmp_path, capsys):
+        # An initial guess with lambda1 > lambda2 is only a starting point:
+        # the fit's parameterisation, not validation, keeps lambda1 < lambda2.
+        frf = self.make_frf_file(tmp_path, capsys)
+        code, _, err = run(
+            capsys,
+            "fit", "--frf", str(frf), "--report", str(tmp_path / "r.csv"),
+            "--mu", "1e5", "--lambda1", "0.05", "--lambda2", "0.02", "--alpha", "1.5",
+        )
+        assert code != 2
+        assert "constraints violated" not in err
+
 
 class TestImpulseStudy:
     def test_trichotomy_columns_and_trends(self, tmp_path, capsys):
@@ -404,3 +418,51 @@ def test_frf_file_round_trip_through_cli(tmp_path, capsys):
     assert code == 0
     data = read_frf(out)
     assert len(data) == 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--frf", "f.csv", "--report", "r.csv", "--tolerance", "1e-10"],
+        ["fit", "--frf", "f.csv", "--report", "r.csv", "--beta", "1.5"],
+        ["fit", "--frf", "f.csv", "--report", "r.csv", "--gamma", "1.0"],
+        ["fit", "--frf", "f.csv", "--report", "r.csv", "--unconstrained"],
+        ["impulse-study", "--gammas", "1", "--duration", "1", "--step", "1e-3",
+         "--out", "s.csv", "--gamma", "1.0"],
+    ],
+    ids=["fit-tolerance", "fit-beta", "fit-gamma", "fit-unconstrained", "study-gamma"],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_option_strings_per_subcommand():
+    # A flag that a command does not read must not come back unnoticed.
+    parser = fojeffreys.cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s for action in sub._actions for s in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    common = {"-h", "--help", "--params", "--mu", "--lambda1", "--lambda2", "--alpha"}
+    assert options == {
+        "freqresp": common | {
+            "--beta", "--gamma", "--unconstrained",
+            "--f-min", "--f-max", "--n-points", "--out",
+        },
+        "simulate": common | {
+            "--beta", "--gamma", "--unconstrained",
+            "--signal", "--area", "--amplitude", "--rate", "--frequency",
+            "--duration", "--step", "--out-input", "--out-output",
+        },
+        "fit": common | {
+            "--frf", "--model-class", "--report", "--max-iterations",
+            "--multistart", "--seed",
+        },
+        "impulse-study": common | {
+            "--beta", "--unconstrained",
+            "--gammas", "--area", "--duration", "--step", "--out",
+        },
+    }

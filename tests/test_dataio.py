@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fojeffreys import FoJeffreysParams, TimeSeries, fit, FitConfig
+from fojeffreys import FitResult, FoJeffreysParams, TimeSeries, fit, FitConfig
 from fojeffreys.dataio import (
     FRF_HEADER,
     FrfParseError,
@@ -161,6 +161,54 @@ class TestFitReport:
         assert table.shape == (len(data), 7)
         total = float(np.sum(table[:, 5] ** 2) + np.sum(table[:, 6] ** 2))
         assert math.isclose(total, result.objective, rel_tol=1e-9, abs_tol=1e-24)
+
+    def test_report_bytes_pinned(self, tmp_path):
+        # A stub result runs no fit, so the bytes depend only on the residual
+        # table and the writer; the measured columns read back exactly.
+        frf = tmp_path / "five.csv"
+        write_lines(frf, [
+            FRF_HEADER,
+            "0.01,-80.5,-95.0",
+            "0.03,-90.0,-100.0",
+            "0.1,-100.5,-110.0",
+            "0.3,-110.0,-135.0",
+            "1.0,-125.0,-170.0",
+        ])
+        stub = FitResult(
+            params=FoJeffreysParams(
+                mu=171e3, lambda1=0.013, lambda2=0.047, alpha=1.571, beta=1.571
+            ),
+            objective=12.5,
+            iterations=7,
+            converged=False,
+            per_point_residuals=np.zeros((5, 2)),
+        )
+        path = tmp_path / "report.csv"
+        write_fit_report(stub, read_frf(frf), path)
+        assert path.read_text().splitlines() == [
+            "mu,171000.0",
+            "lambda1,0.013",
+            "lambda2,0.047",
+            "alpha,1.571",
+            "beta,1.571",
+            "gamma,1.0",
+            "objective,12.5",
+            "converged,false",
+            "iterations,7",
+            "frequency_hz,measured_db,measured_deg,model_db,model_deg,"
+            "residual_db,residual_deg",
+            "0.01,-80.5,-95.0,-80.62053308324775,-90.0157398775497,"
+            "-0.12053308324775003,4.984260122450294",
+            "0.03,-90.0,-100.0,-90.1491590303169,-90.08866991286537,"
+            "-0.14915903031689481,9.91133008713463",
+            "0.1,-100.5,-110.0,-100.51187708783281,-90.59921609656509,"
+            "-0.011877087832814937,19.400783903434913",
+            "0.3,-110.0,-135.0,-109.52999695316693,-93.74455887183326,"
+            "0.4700030468330709,41.25544112816674",
+            "1.0,-125.0,-170.0,-118.18260672705958,-136.9695655155047,"
+            "6.817393272940421,33.03043448449529",
+        ]
+        assert path.read_bytes().endswith(b"33.03043448449529\n")
 
     def test_read_params_requires_all_fields(self, tmp_path):
         path = tmp_path / "params.csv"

@@ -51,6 +51,22 @@ class TestFrfDataset:
         with pytest.raises(ValueError):
             FrfDataset(frequencies_hz=freqs, gains=gains)
 
+    def test_measured_side_is_cached_and_read_only(self, cylinder_params):
+        # Every residual report shares the dataset's dB and degree arrays, so
+        # a write through one report must not reach the others.
+        data = make_synthetic_frf(cylinder_params)
+        assert data.magnitude_db is data.magnitude_db
+        assert data.phase_deg_unwrapped is data.phase_deg_unwrapped
+        with pytest.raises(ValueError):
+            data.magnitude_db[0] = 0.0
+        with pytest.raises(ValueError):
+            data.phase_deg_unwrapped[0] = 0.0
+        report = residual_report(fit_result_stub(cylinder_params, data), data)
+        with pytest.raises(ValueError):
+            report.measured_db[0] = 0.0
+        with pytest.raises(ValueError):
+            report.frequency_hz[0] = 1.0
+
 
 class TestObjective:
     def test_zero_for_generating_parameters(self, cylinder_params):
@@ -87,15 +103,15 @@ class TestObjective:
 
 
 def fit_result_stub(params, data):
-    from fojeffreys.identify import FitResult, _residual_arrays
+    from fojeffreys.identify import FitResult, _report
 
-    res_db, res_deg = _residual_arrays(params, data)
+    report = _report(params, data)
     return FitResult(
         params=params,
-        objective=float(np.sum(res_db**2) + np.sum(res_deg**2)),
+        objective=objective(params, data),
         iterations=0,
         converged=True,
-        per_point_residuals=np.column_stack([res_db, res_deg]),
+        per_point_residuals=np.column_stack([report.residual_db, report.residual_deg]),
     )
 
 
@@ -127,8 +143,8 @@ class TestFitConfig:
         [
             {"model_class": "XX"},
             {"max_iterations": 0},
-            {"tolerance": 0.0},
-            {"tolerance": 1e-20},
+            {"max_iterations": -1},
+            {"multistart": -1},
             {"multistart": 0},
         ],
     )
