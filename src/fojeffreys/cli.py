@@ -9,6 +9,7 @@ when identification fails to converge (the incumbent is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -215,8 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fractional-order Jeffreys cylinder model tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: a removed or misspelt flag is a usage error, not an
+    # abbreviation of another flag ("--multi" of "--multistart").
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_freq = sub.add_parser("freqresp", help="evaluate the frequency response")
+    p_freq = add_command("freqresp", help="evaluate the frequency response")
     _add_param_flags(p_freq, _PARAM_FLAGS)
     p_freq.add_argument("--f-min", type=float, required=True, help="lowest frequency, Hz")
     p_freq.add_argument("--f-max", type=float, required=True, help="highest frequency, Hz")
@@ -224,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_freq.add_argument("--out", required=True, help="output FRF file")
     p_freq.set_defaults(func=_cmd_freqresp)
 
-    p_sim = sub.add_parser("simulate", help="simulate the time-domain response")
+    p_sim = add_command("simulate", help="simulate the time-domain response")
     _add_param_flags(p_sim, _PARAM_FLAGS)
     p_sim.add_argument(
         "--signal", required=True, choices=("impulse", "step", "slope", "sine")
@@ -239,23 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-output", required=True, help="output time-series file")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_fit = sub.add_parser("fit", help="identify parameters from an FRF file")
+    p_fit = add_command("fit", help="identify parameters from an FRF file")
     _add_param_flags(p_fit, ("mu", "lambda1", "lambda2", "alpha"))
     p_fit.add_argument("--frf", required=True, help="input FRF file")
     p_fit.add_argument("--model-class", choices=("FO", "IO"), default="FO")
     p_fit.add_argument("--report", required=True, help="fit report file")
     p_fit.add_argument(
         "--max-iterations", type=int, default=5000,
-        help="residual evaluations per restart, Jacobian ones excluded",
+        help="residual evaluations per restart (the Jacobian is closed form)",
     )
     p_fit.add_argument("--multistart", type=int, default=3)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.set_defaults(func=_cmd_fit)
 
-    # Without allow_abbrev=False, "--gamma 1" would be read as "--gammas 1".
-    p_study = sub.add_parser(
-        "impulse-study", help="impulse responses for a list of integrator orders",
-        allow_abbrev=False,
+    p_study = add_command(
+        "impulse-study", help="impulse responses for a list of integrator orders"
     )
     _add_param_flags(p_study, [name for name in _PARAM_FLAGS if name != "gamma"])
     p_study.add_argument(
@@ -270,10 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one build serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors
         return int(exc.code or 0)
     try:

@@ -8,7 +8,9 @@ Levenberg-Marquardt (Moré 1978) on r, to a fixed relative tolerance of 1e-12,
 in the coordinates u = [log mu, log lambda2, logit(lambda1 / lambda2),
 logit(alpha / 2)], the last for the FO class only. Every u maps to
 parameters with 0 < lambda1 < lambda2 and 0 < alpha < 2, so the constraints
-hold by construction.
+hold by construction. ln G is a sum of logs of power terms, so the Jacobian
+dr/du is closed form and the solve spends no residual evaluations on finite
+differences.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = [
 _LOG_CLIP = 300.0
 _LOGIT_CLIP = 30.0
 _TOLERANCE = 1.0e-12  # relative; on the objective, the step and the gradient
+# d(20 log10|G|) / d Re(ln G) and d(degrees arg G) / d Im(ln G).
+_DB_PER_NEPER = 20.0 / math.log(10.0)
+_DEG_PER_RAD = 180.0 / math.pi
 
 
 class FitNonConvergenceError(RuntimeError):
@@ -90,12 +95,14 @@ class FrfDataset:
     def __len__(self) -> int:
         return len(self.frequencies_hz)
 
-    @property
+    # Computed once and read-only: every residual report shares them.
+    @cached_property
     def omega(self) -> np.ndarray:
         """Angular frequencies in rad/s."""
-        return 2.0 * math.pi * self.frequencies_hz
+        omega = 2.0 * math.pi * self.frequencies_hz
+        omega.flags.writeable = False
+        return omega
 
-    # Computed once and read-only: every residual report shares them.
     @cached_property
     def magnitude_db(self) -> np.ndarray:
         db = 20.0 * np.log10(np.abs(self.gains))
@@ -119,9 +126,9 @@ class FitConfig:
     comparison ("IO": alpha = beta = gamma = 1). ``multistart`` counts
     randomized restarts of the least-squares solve; restart 0 always starts
     from the supplied (or heuristic) initial guess. ``max_iterations`` caps
-    the residual evaluations of each restart, not counting those of the
-    finite-difference Jacobian. The initial guess's beta and gamma are not
-    read: the FO class ties beta to alpha and pins gamma to 1.
+    the residual evaluations of each restart; the Jacobian is closed form and
+    costs none of them. The initial guess's beta and gamma are not read: the
+    FO class ties beta to alpha and pins gamma to 1.
     """
 
     model_class: str = "FO"
@@ -145,8 +152,9 @@ class FitResult:
 
     ``objective`` equals the sum of squared per-point residuals
     (dB^2 + deg^2). ``iterations`` counts the residual evaluations of the
-    winning restart, Jacobian ones excluded, and ``converged`` reports
-    whether that restart met a tolerance before exhausting its budget.
+    winning restart (Jacobian evaluations, which are closed form, are not
+    counted), and ``converged`` reports whether that restart met a tolerance
+    before exhausting its budget.
     """
 
     params: FoJeffreysParams
@@ -271,17 +279,53 @@ def _unpack(u: np.ndarray, model_class: str) -> FoJeffreysParams:
     )
 
 
+def _lm_problem(data: FrfDataset, model_class: str):
+    """The residual vector r(u) and its Jacobian dr/du, for the LM solve.
+
+    With z = (j omega)^alpha and q_i = lambda_i z / (1 + lambda_i z),
+    ln G = ln(1 + lambda1 z) - ln mu - ln(j omega) - ln(1 + lambda2 z) has the
+    closed-form derivatives -1, q1 - q2, (1 - rho) q1 and
+    alpha (1 - alpha/2) ln(j omega) (q1 - q2) in u = [log mu, log lambda2,
+    logit rho, logit(alpha/2)], rho = lambda1 / lambda2. The dB rows are
+    20/ln 10 times their real parts and the degree rows 180/pi times their
+    imaginary parts. A coordinate that ``_unpack`` clips has a zero column,
+    so the Jacobian is that of the map actually evaluated.
+    """
+    log_jomega = np.log(data.omega) + 0.5j * math.pi
+    fo = model_class == "FO"
+    bounds = np.array([_LOG_CLIP, _LOG_CLIP, _LOGIT_CLIP] + [_LOGIT_CLIP] * fo)
+
+    def residuals(u: np.ndarray) -> np.ndarray:
+        report = _report(_unpack(u, model_class), data)
+        return np.concatenate([report.residual_db, report.residual_deg])
+
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        params = _unpack(u, model_class)
+        z = np.exp(params.alpha * log_jomega)
+        w1 = params.lambda1 * z
+        w2 = params.lambda2 * z
+        q1 = w1 / (1.0 + w1)
+        dq = q1 - w2 / (1.0 + w2)
+        columns = [np.full_like(z, -1.0), dq, _sigmoid(-u[2]) * q1]
+        if fo:
+            columns.append((params.alpha * _sigmoid(-u[3])) * log_jomega * dq)
+        d = np.column_stack(columns) * (np.abs(u) <= bounds)
+        return np.concatenate([_DB_PER_NEPER * d.real, _DEG_PER_RAD * d.imag])
+
+    return residuals, jacobian
+
+
 def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     """Identify model parameters from an FRF dataset.
 
     Runs ``config.multistart`` Levenberg-Marquardt solves on the residual
-    vector (the first from the supplied or heuristic initial guess, the rest
-    from deterministic seeded perturbations of it) and returns the restart
-    with the lowest objective, the earliest on ties. Each solve stops at a
-    relative tolerance of 1e-12 on the objective, the step or the gradient,
-    or after ``config.max_iterations`` residual evaluations. Returned
-    parameters always satisfy the constrained-mode validation of the FO
-    class.
+    vector and its closed-form Jacobian (the first from the supplied or
+    heuristic initial guess, the rest from deterministic seeded
+    perturbations of it) and returns the restart with the lowest objective,
+    the earliest on ties. Each solve stops at a relative tolerance of 1e-12
+    on the objective, the step or the gradient, or after
+    ``config.max_iterations`` residual evaluations. Returned parameters
+    always satisfy the constrained-mode validation of the FO class.
 
     Raises
     ------
@@ -299,14 +343,11 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     for _ in range(config.multistart - 1):
         starts.append(u0 + rng.uniform(-0.3, 0.3, size=u0.shape))
 
-    def residuals(u: np.ndarray) -> np.ndarray:
-        report = _report(_unpack(u, config.model_class), data)
-        return np.concatenate([report.residual_db, report.residual_deg])
-
+    residuals, jacobian = _lm_problem(data, config.model_class)
     solutions = [
         least_squares(
-            residuals, start, method="lm", ftol=_TOLERANCE, xtol=_TOLERANCE,
-            gtol=_TOLERANCE, max_nfev=int(config.max_iterations),
+            residuals, start, jac=jacobian, method="lm", ftol=_TOLERANCE,
+            xtol=_TOLERANCE, gtol=_TOLERANCE, max_nfev=int(config.max_iterations),
         )
         for start in starts
     ]

@@ -429,8 +429,10 @@ def test_frf_file_round_trip_through_cli(tmp_path, capsys):
         ["fit", "--frf", "f.csv", "--report", "r.csv", "--unconstrained"],
         ["impulse-study", "--gammas", "1", "--duration", "1", "--step", "1e-3",
          "--out", "s.csv", "--gamma", "1.0"],
+        ["fit", "--frf", "f.csv", "--report", "r.csv", "--multi", "1"],
     ],
-    ids=["fit-tolerance", "fit-beta", "fit-gamma", "fit-unconstrained", "study-gamma"],
+    ids=["fit-tolerance", "fit-beta", "fit-gamma", "fit-unconstrained", "study-gamma",
+         "fit-multi"],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -446,6 +448,8 @@ def test_option_strings_per_subcommand():
         name: {s for action in sub._actions for s in action.option_strings}
         for name, sub in subparsers.choices.items()
     }
+    # Prefix matching would turn a removed flag into a longer one.
+    assert all(not sub.allow_abbrev for sub in subparsers.choices.values())
     common = {"-h", "--help", "--params", "--mu", "--lambda1", "--lambda2", "--alpha"}
     assert options == {
         "freqresp": common | {
@@ -466,3 +470,17 @@ def test_option_strings_per_subcommand():
             "--gammas", "--area", "--duration", "--step", "--out",
         },
     }
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    build = fojeffreys.cli.build_parser
+    monkeypatch.setattr(
+        fojeffreys.cli, "build_parser", lambda: built.append(1) or build()
+    )
+    fojeffreys.cli._parser.cache_clear()
+    for _ in range(3):
+        code, _, _ = run(capsys, "fit", "--frf", "missing.csv", "--report", "r.csv")
+        assert code == 2
+    assert len(built) == 1
+    assert build() is not build()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fojeffreys import (
     FitConfig,
@@ -14,8 +16,9 @@ from fojeffreys import (
     residual_report,
     validate,
 )
+from fojeffreys import identify
 
-from conftest import add_frf_noise, make_synthetic_frf, perturbed_guess
+from conftest import CYLINDER, add_frf_noise, make_synthetic_frf, perturbed_guess
 
 DB_FOR_DOUBLED_GAIN = (20.0 * math.log10(2.0)) ** 2  # 36.2471 dB^2
 
@@ -52,11 +55,14 @@ class TestFrfDataset:
             FrfDataset(frequencies_hz=freqs, gains=gains)
 
     def test_measured_side_is_cached_and_read_only(self, cylinder_params):
-        # Every residual report shares the dataset's dB and degree arrays, so
-        # a write through one report must not reach the others.
+        # Every residual report shares the dataset's omega, dB and degree
+        # arrays, so a write through one report must not reach the others.
         data = make_synthetic_frf(cylinder_params)
+        assert data.omega is data.omega
         assert data.magnitude_db is data.magnitude_db
         assert data.phase_deg_unwrapped is data.phase_deg_unwrapped
+        with pytest.raises(ValueError):
+            data.omega[0] = 1.0
         with pytest.raises(ValueError):
             data.magnitude_db[0] = 0.0
         with pytest.raises(ValueError):
@@ -151,6 +157,60 @@ class TestFitConfig:
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+
+def coordinate(bound):
+    # Inside the clip, or at least one unit beyond it, so that a central
+    # difference never straddles the clip.
+    return st.one_of(
+        st.floats(-bound + 1.0, bound - 1.0),
+        st.floats(bound + 1.0, bound + 50.0),
+        st.floats(-bound - 50.0, -bound - 1.0),
+    )
+
+
+class TestJacobian:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["FO", "IO"]),
+        st.tuples(*map(coordinate, (300.0, 300.0, 30.0, 30.0))),
+    )
+    def test_matches_central_differences(self, model_class, u):
+        data = add_frf_noise(
+            make_synthetic_frf(FoJeffreysParams(**CYLINDER)),
+            db_sigma=0.5, deg_sigma=2.0, seed=0,
+        )
+        residuals, jacobian = identify._lm_problem(data, model_class)
+        u = np.array(u[: 4 if model_class == "FO" else 3])
+        bounds = np.array([300.0, 300.0, 30.0, 30.0])[: len(u)]
+        jac = jacobian(u)
+        assert jac.shape == (2 * len(data), len(u))
+        for k in range(len(u)):
+            step = np.zeros_like(u)
+            step[k] = 1e-6 * max(1.0, abs(u[k]))
+            central = (residuals(u + step) - residuals(u - step)) / (2.0 * step[k])
+            if abs(u[k]) > bounds[k]:
+                assert np.all(jac[:, k] == 0.0)
+            scale = max(1.0, float(np.max(np.abs(jac[:, k]))))
+            np.testing.assert_allclose(jac[:, k], central, rtol=0.0, atol=1e-6 * scale)
+
+    @pytest.mark.parametrize("model_class", ["FO", "IO"])
+    def test_fit_evaluates_no_finite_differences(
+        self, cylinder_params, monkeypatch, model_class
+    ):
+        # Levenberg-Marquardt evaluates the residual result.iterations times
+        # and fit reports on the winner once more; a finite-difference
+        # Jacobian would add one evaluation per coordinate and iteration.
+        calls = []
+        report = identify._report
+        monkeypatch.setattr(
+            identify, "_report", lambda *a: calls.append(a) or report(*a)
+        )
+        data = add_frf_noise(
+            make_synthetic_frf(cylinder_params), db_sigma=0.5, deg_sigma=2.0, seed=0
+        )
+        result = fit(data, FitConfig(model_class=model_class, multistart=1))
+        assert len(calls) == result.iterations + 1
 
 
 class TestFit:
