@@ -3,7 +3,8 @@
 
 Generates a noisy 20-point synthetic FRF over the measured band, fits both
 the fractional-order (FO) and integer-order (IO) model classes with the
-equal-weight dB/degree least-squares objective, and compares them.
+equal-weight dB/degree least-squares objective, and compares them. No
+initial guess is given: each fit starts from the best point of a fixed grid.
 """
 
 import numpy as np
@@ -31,8 +32,8 @@ data = FrfDataset(
 )
 print("synthetic data: 20 points, 0.005 - 1.6 Hz, 0.5 dB / 2 deg noise\n")
 
-fo = fit(data, FitConfig(model_class="FO", seed=0))
-io = fit(data, FitConfig(model_class="IO", seed=0))
+fo = fit(data, FitConfig(model_class="FO"))
+io = fit(data, FitConfig(model_class="IO"))
 
 print("=== fitted parameters ===")
 print(f"{'':>8} {'truth':>12} {'FO fit':>12} {'IO fit':>12}")

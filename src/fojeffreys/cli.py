@@ -147,13 +147,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = dataio.read_frf(args.frf)
-    initial = _resolve_params(args, required=False)
     config = FitConfig(
         model_class=args.model_class,
-        initial_guess=initial,
+        initial_guess=_resolve_params(args, required=False),
         max_iterations=args.max_iterations,
-        multistart=args.multistart,
-        seed=args.seed,
     )
     exit_code = EXIT_OK
     try:
@@ -217,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # No prefix matching: a removed or misspelt flag is a usage error, not an
-    # abbreviation of another flag ("--multi" of "--multistart").
+    # abbreviation of another flag ("--max" of "--max-iterations").
     add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p_freq = add_command("freqresp", help="evaluate the frequency response")
@@ -250,10 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--report", required=True, help="fit report file")
     p_fit.add_argument(
         "--max-iterations", type=int, default=5000,
-        help="residual evaluations per restart (the Jacobian is closed form)",
+        help="residual evaluations per start (the Jacobian is closed form)",
     )
-    p_fit.add_argument("--multistart", type=int, default=3)
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_study = add_command(

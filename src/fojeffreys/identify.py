@@ -3,20 +3,17 @@
 One residual vector r = [dB residuals, degree residuals] compares model and
 data, with both phase curves unwrapped continuously across the sweep before
 differencing. The objective is ||r||^2 (dB^2 and deg^2 with equal weight),
-and the residual report tabulates r point by point. The fit runs
-Levenberg-Marquardt (Moré 1978) on r, to a fixed relative tolerance of 1e-12,
-in the coordinates u = [log mu, log lambda2, logit(lambda1 / lambda2),
-logit(alpha / 2)], the last for the FO class only. Every u maps to
-parameters with 0 < lambda1 < lambda2 and 0 < alpha < 2, so the constraints
-hold by construction. ln G is a sum of logs of power terms, so the Jacobian
-dr/du is closed form and the solve spends no residual evaluations on finite
-differences.
+and the residual report tabulates r point by point. mu only shifts the dB
+residuals, so the fit projects it out (Golub & Pereyra 1973) and runs
+Levenberg-Marquardt (Moré 1978) in theta = [log lambda2, logit(lambda1 /
+lambda2), logit(alpha / 2)], the last for FO only, where the constraints
+0 < lambda1 < lambda2 and 0 < alpha < 2 hold by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,9 +32,9 @@ __all__ = [
     "residual_report",
 ]
 
-# Clipping every coordinate makes the map from u to parameters total: logs
-# within +-300 keep freq_response finite for 1e-6 <= omega <= 1e6 rad/s, and
-# logits within +-30 keep the sigmoid strictly inside (0, 1).
+# Clipping every coordinate makes the map from theta to parameters total: a
+# log within +-300 keeps freq_response finite for 1e-6 <= omega <= 1e6 rad/s,
+# and logits within +-30 keep the sigmoid strictly inside (0, 1).
 _LOG_CLIP = 300.0
 _LOGIT_CLIP = 30.0
 _TOLERANCE = 1.0e-12  # relative; on the objective, the step and the gradient
@@ -47,12 +44,12 @@ _DEG_PER_RAD = 180.0 / math.pi
 
 
 class FitNonConvergenceError(RuntimeError):
-    """Raised when no restart converges; carries the best incumbent."""
+    """Raised when no start converges; carries the best incumbent."""
 
     def __init__(self, result: "FitResult"):
         self.result = result
         super().__init__(
-            "no restart converged within the evaluation budget "
+            "no start converged within the evaluation budget "
             f"(best objective {result.objective:.6g})"
         )
 
@@ -123,27 +120,22 @@ class FitConfig:
 
     ``model_class`` selects the fractional-order fit ("FO": shared order
     alpha = beta estimated, gamma pinned to 1) or the integer-order
-    comparison ("IO": alpha = beta = gamma = 1). ``multistart`` counts
-    randomized restarts of the least-squares solve; restart 0 always starts
-    from the supplied (or heuristic) initial guess. ``max_iterations`` caps
-    the residual evaluations of each restart; the Jacobian is closed form and
-    costs none of them. The initial guess's beta and gamma are not read: the
-    FO class ties beta to alpha and pins gamma to 1.
+    comparison ("IO": alpha = beta = gamma = 1). ``initial_guess``, when
+    given, is a second start next to the grid's. ``max_iterations`` caps the
+    residual evaluations of each start; the Jacobian is closed form and costs
+    none of them. The initial guess's mu, beta and gamma are not read: mu is
+    projected out, the FO class ties beta to alpha and pins gamma to 1.
     """
 
     model_class: str = "FO"
     initial_guess: FoJeffreysParams | None = None
     max_iterations: int = 5000
-    multistart: int = 3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.model_class not in ("FO", "IO"):
             raise ValueError(f"model_class must be 'FO' or 'IO', got {self.model_class!r}")
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
-        if int(self.multistart) < 1:
-            raise ValueError("multistart must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,8 +144,8 @@ class FitResult:
 
     ``objective`` equals the sum of squared per-point residuals
     (dB^2 + deg^2). ``iterations`` counts the residual evaluations of the
-    winning restart (Jacobian evaluations, which are closed form, are not
-    counted), and ``converged`` reports whether that restart met a tolerance
+    winning start (Jacobian evaluations, which are closed form, are not
+    counted), and ``converged`` reports whether that start met a tolerance
     before exhausting its budget.
     """
 
@@ -228,50 +220,28 @@ def residual_report(result: FitResult, data: FrfDataset) -> ResidualReport:
     return _report(result.params, data)
 
 
-def _default_initial_guess(data: FrfDataset, model_class: str) -> FoJeffreysParams:
-    # Heuristic from the asymptote structure: the low-frequency magnitude is
-    # dominated by the free integrator, and the lag corner sits mid-band.
-    omega0 = data.omega[0]
-    mu = 1.0 / (abs(data.gains[0]) * omega0)
-    f_mid = math.sqrt(data.frequencies_hz[0] * data.frequencies_hz[-1])
-    lambda2 = 1.0 / (2.0 * math.pi * f_mid)
-    lambda1 = lambda2 / 3.0
-    alpha = 1.5 if model_class == "FO" else 1.0
-    return FoJeffreysParams(
-        mu=mu, lambda1=lambda1, lambda2=lambda2, alpha=alpha, beta=alpha, gamma=1.0
-    )
-
-
 def _logit(x: float) -> float:
     x = min(max(x, 1.0e-6), 1.0 - 1.0e-6)  # an initial guess may violate (0, 1)
     return math.log(x / (1.0 - x))
 
 
-def _clip(v: float, bound: float) -> float:
-    return min(max(v, -bound), bound)
-
-
-def _sigmoid(v: float) -> float:
-    return 1.0 / (1.0 + math.exp(-_clip(v, _LOGIT_CLIP)))
+def _sigmoid(v: float | np.ndarray) -> float | np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(v, -_LOGIT_CLIP, _LOGIT_CLIP)))
 
 
 def _pack(params: FoJeffreysParams, model_class: str) -> np.ndarray:
-    u = [
-        math.log(params.mu),
-        math.log(params.lambda2),
-        _logit(params.lambda1 / params.lambda2),
-    ]
+    theta = [math.log(params.lambda2), _logit(params.lambda1 / params.lambda2)]
     if model_class == "FO":
-        u.append(_logit(params.alpha / 2.0))
-    return np.array(u)
+        theta.append(_logit(params.alpha / 2.0))
+    return np.array(theta)
 
 
-def _unpack(u: np.ndarray, model_class: str) -> FoJeffreysParams:
-    lambda2 = math.exp(_clip(u[1], _LOG_CLIP))
-    alpha = 2.0 * _sigmoid(u[3]) if model_class == "FO" else 1.0
+def _unpack(theta: np.ndarray, model_class: str) -> FoJeffreysParams:
+    lambda2 = math.exp(np.clip(theta[0], -_LOG_CLIP, _LOG_CLIP))
+    alpha = 2.0 * _sigmoid(theta[2]) if model_class == "FO" else 1.0
     return FoJeffreysParams(
-        mu=math.exp(_clip(u[0], _LOG_CLIP)),
-        lambda1=lambda2 * _sigmoid(u[2]),
+        mu=1.0,
+        lambda1=lambda2 * _sigmoid(theta[1]),
         lambda2=lambda2,
         alpha=alpha,
         beta=alpha,
@@ -280,68 +250,99 @@ def _unpack(u: np.ndarray, model_class: str) -> FoJeffreysParams:
 
 
 def _lm_problem(data: FrfDataset, model_class: str):
-    """The residual vector r(u) and its Jacobian dr/du, for the LM solve.
+    """The reduced residual r(theta) and its closed-form Jacobian, for LM.
 
-    With z = (j omega)^alpha and q_i = lambda_i z / (1 + lambda_i z),
-    ln G = ln(1 + lambda1 z) - ln mu - ln(j omega) - ln(1 + lambda2 z) has the
-    closed-form derivatives -1, q1 - q2, (1 - rho) q1 and
-    alpha (1 - alpha/2) ln(j omega) (q1 - q2) in u = [log mu, log lambda2,
-    logit rho, logit(alpha/2)], rho = lambda1 / lambda2. The dB rows are
-    20/ln 10 times their real parts and the degree rows 180/pi times their
-    imaginary parts. A coordinate that ``_unpack`` clips has a zero column,
-    so the Jacobian is that of the map actually evaluated.
+    r = [dB residual minus its mean, degree residual] of ``_report`` at
+    mu = 1; the centring, which projects out log mu, does not depend on
+    theta. With z = (j omega)^alpha and q_i = lambda_i z / (1 + lambda_i z),
+    the derivatives of ln G in theta are q1 - q2, (1 - rho) q1 and
+    alpha (1 - alpha/2) ln(j omega) (q1 - q2), rho = lambda1 / lambda2. The
+    dB rows are 20/ln 10 times their real parts, centred, and the degree
+    rows 180/pi times their imaginary parts. A coordinate that ``_unpack``
+    clips has a zero column, so the Jacobian is that of the map evaluated.
     """
     log_jomega = np.log(data.omega) + 0.5j * math.pi
     fo = model_class == "FO"
-    bounds = np.array([_LOG_CLIP, _LOG_CLIP, _LOGIT_CLIP] + [_LOGIT_CLIP] * fo)
+    bounds = np.array([_LOG_CLIP, _LOGIT_CLIP] + [_LOGIT_CLIP] * fo)
 
-    def residuals(u: np.ndarray) -> np.ndarray:
-        report = _report(_unpack(u, model_class), data)
-        return np.concatenate([report.residual_db, report.residual_deg])
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        report = _report(_unpack(theta, model_class), data)
+        db = report.residual_db
+        return np.concatenate([db - np.mean(db), report.residual_deg])
 
-    def jacobian(u: np.ndarray) -> np.ndarray:
-        params = _unpack(u, model_class)
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        params = _unpack(theta, model_class)
         z = np.exp(params.alpha * log_jomega)
         w1 = params.lambda1 * z
         w2 = params.lambda2 * z
         q1 = w1 / (1.0 + w1)
         dq = q1 - w2 / (1.0 + w2)
-        columns = [np.full_like(z, -1.0), dq, _sigmoid(-u[2]) * q1]
+        columns = [dq, _sigmoid(-theta[1]) * q1]
         if fo:
-            columns.append((params.alpha * _sigmoid(-u[3])) * log_jomega * dq)
-        d = np.column_stack(columns) * (np.abs(u) <= bounds)
-        return np.concatenate([_DB_PER_NEPER * d.real, _DEG_PER_RAD * d.imag])
+            columns.append((params.alpha * _sigmoid(-theta[2])) * log_jomega * dq)
+        d = np.column_stack(columns) * (np.abs(theta) <= bounds)
+        db = _DB_PER_NEPER * d.real
+        return np.concatenate([db - np.mean(db, axis=0), _DEG_PER_RAD * d.imag])
 
     return residuals, jacobian
+
+
+def _grid(data: FrfDataset, model_class: str) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points in theta and their reduced costs ||r||^2, in closed form.
+
+    The corner lambda2^(-1/alpha) spans the band +-1 decade (16 values), logit
+    rho [-3, 3] (7) and, for FO, logit(alpha/2) [-2.5, 2.5] (9). Costs are
+    taken at most at 24 log-spaced points: on all 200 points of a sweep, the
+    ranking costs more than the start saves. For 0 < alpha < 2 both
+    1 + lambda_i z lie in the upper half plane, so the phase needs no
+    unwrapping; its branch is aligned at the first point.
+    """
+    log_w = np.log(data.omega)
+    keep = np.unique(np.searchsorted(log_w, np.linspace(log_w[0], log_w[-1], 24)))
+    log_jomega = log_w[keep] + 0.5j * math.pi
+    corner, logit_rho, logit_half_alpha = (g.reshape(-1, 1) for g in np.meshgrid(
+        np.linspace(log_w[0] - math.log(10.0), log_w[-1] + math.log(10.0), 16),
+        np.linspace(-3.0, 3.0, 7),
+        np.linspace(-2.5, 2.5, 9) if model_class == "FO" else [0.0],
+        indexing="ij",
+    ))
+    alpha = 2.0 * _sigmoid(logit_half_alpha)  # 1 for IO
+    log_lambda2 = -alpha * corner
+    w2 = np.exp(log_lambda2 + alpha * log_jomega)
+    ln_g = np.log1p(_sigmoid(logit_rho) * w2) - np.log1p(w2) - log_jomega
+    r_db = _DB_PER_NEPER * ln_g.real - data.magnitude_db[keep]
+    r_deg = _DEG_PER_RAD * ln_g.imag - data.phase_deg_unwrapped[keep]
+    r_db -= np.mean(r_db, axis=1, keepdims=True)
+    r_deg -= 360.0 * np.round(r_deg[:, :1] / 360.0)
+    columns = [log_lambda2, logit_rho] + [logit_half_alpha] * (model_class == "FO")
+    return np.hstack(columns), np.sum(r_db**2, axis=1) + np.sum(r_deg**2, axis=1)
 
 
 def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     """Identify model parameters from an FRF dataset.
 
-    Runs ``config.multistart`` Levenberg-Marquardt solves on the residual
-    vector and its closed-form Jacobian (the first from the supplied or
-    heuristic initial guess, the rest from deterministic seeded
-    perturbations of it) and returns the restart with the lowest objective,
-    the earliest on ties. Each solve stops at a relative tolerance of 1e-12
-    on the objective, the step or the gradient, or after
-    ``config.max_iterations`` residual evaluations. Returned parameters
-    always satisfy the constrained-mode validation of the FO class.
+    Runs Levenberg-Marquardt on the reduced residual from the best point of
+    ``_grid`` and, if given, from ``config.initial_guess``, and keeps the
+    start that ends at the lower cost, the grid's on ties. Each solve stops
+    at a relative tolerance of 1e-12 on the objective, the step or the
+    gradient, or after ``config.max_iterations`` residual evaluations; mu
+    is then the mean dB offset. Returned parameters always satisfy the
+    constrained-mode validation of the FO class.
 
     Raises
     ------
     FitNonConvergenceError
-        If no restart converged; the exception carries the best incumbent
+        If no start converged; the exception carries the best incumbent
         ``FitResult``.
+    ValueError
+        If the data's gain level puts mu outside the floating-point range.
     """
     if config is None:
         config = FitConfig()
-    guess = config.initial_guess or _default_initial_guess(data, config.model_class)
-    u0 = _pack(guess, config.model_class)
-
-    rng = np.random.default_rng(config.seed)
-    starts = [u0]
-    for _ in range(config.multistart - 1):
-        starts.append(u0 + rng.uniform(-0.3, 0.3, size=u0.shape))
+    theta, costs = _grid(data, config.model_class)
+    starts = [theta[np.argmin(costs)]]
+    if config.initial_guess is not None:
+        starts.append(_pack(config.initial_guess, config.model_class))
 
     residuals, jacobian = _lm_problem(data, config.model_class)
     solutions = [
@@ -352,7 +353,11 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
         for start in starts
     ]
     best = min(solutions, key=lambda sol: sol.cost)
-    params = _unpack(best.x, config.model_class)
+    shape = _unpack(best.x, config.model_class)
+    log10_mu = float(np.mean(_report(shape, data).residual_db)) / 20.0
+    if abs(log10_mu) > 307.0:  # 10^-307 <= mu <= 10^307 are normal floats
+        raise ValueError(f"the FRF gain level needs mu = 10^{log10_mu:.1f}, out of range")
+    params = replace(shape, mu=10.0**log10_mu)
     report = _report(params, data)
     result = FitResult(
         params=params,

@@ -180,7 +180,7 @@ def test_fit_recovery():
     ok = True
     details = []
 
-    clean = fit(data, FitConfig(initial_guess=perturbed_guess(truth, seed=42), seed=0))
+    clean = fit(data, FitConfig(initial_guess=perturbed_guess(truth, seed=42)))
     worst_clean = max(
         abs(getattr(clean.params, name) - getattr(truth, name)) / getattr(truth, name)
         for name in ("mu", "lambda1", "lambda2", "alpha")
@@ -193,7 +193,7 @@ def test_fit_recovery():
 
     noisy_data = add_frf_noise(data, db_sigma=0.5, deg_sigma=2.0, seed=0)
     noisy = fit(
-        noisy_data, FitConfig(initial_guess=perturbed_guess(truth, seed=0), seed=0)
+        noisy_data, FitConfig(initial_guess=perturbed_guess(truth, seed=0))
     )
     worst_noisy = max(
         abs(getattr(noisy.params, name) - getattr(truth, name)) / getattr(truth, name)
@@ -215,8 +215,8 @@ def test_fo_vs_io_ordering():
     t_start = time.monotonic()
     truth = cylinder()
     data = make_synthetic_frf(truth)
-    fo = fit(data, FitConfig(model_class="FO", seed=0))
-    io = fit(data, FitConfig(model_class="IO", seed=0))
+    fo = fit(data, FitConfig(model_class="FO"))
+    io = fit(data, FitConfig(model_class="IO"))
 
     omega_top = 2.0 * math.pi * 1.6
     phase_data = math.degrees(np.angle(data.gains[-1]))
@@ -328,7 +328,7 @@ def test_dataio_and_exit_codes(tmp_path, capsys):
             "--out-input", str(tmp_path / "tau.csv"),
             "--out-output", str(tmp_path / "x.csv")],
         4: ["fit", "--frf", str(frf_path), "--report", str(tmp_path / "inc.csv"),
-            "--max-iterations", "2", "--multistart", "2"],
+            "--max-iterations", "2"],
     }
     for expected, argv in runs.items():
         code = cli_main(argv)

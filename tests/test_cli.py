@@ -8,7 +8,7 @@ import pytest
 import fojeffreys.cli
 from fojeffreys import SimulationResult, TimeSeries
 from fojeffreys.cli import main
-from fojeffreys.dataio import read_frf, read_params, read_timeseries
+from fojeffreys.dataio import read_frf, read_params, read_timeseries, write_frf_rows
 
 from conftest import CYLINDER
 
@@ -224,7 +224,7 @@ class TestFit:
         report = tmp_path / "report.csv"
         code, out, _ = run(
             capsys,
-            "fit", "--frf", str(frf), "--report", str(report), "--seed", "0",
+            "fit", "--frf", str(frf), "--report", str(report),
         )
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
@@ -237,7 +237,7 @@ class TestFit:
     def test_report_feeds_simulate(self, tmp_path, capsys):
         frf = self.make_frf_file(tmp_path, capsys)
         report = tmp_path / "report.csv"
-        run(capsys, "fit", "--frf", str(frf), "--report", str(report), "--seed", "0")
+        run(capsys, "fit", "--frf", str(frf), "--report", str(report))
         code, out, _ = run(
             capsys,
             "simulate", "--params", str(report),
@@ -292,7 +292,7 @@ class TestFit:
         code, out, err = run(
             capsys,
             "fit", "--frf", str(frf), "--report", str(report),
-            "--max-iterations", "2", "--multistart", "2",
+            "--max-iterations", "2",
         )
         assert code == 4
         assert "did not converge" in err
@@ -304,16 +304,8 @@ class TestFit:
     def test_deterministic_outputs(self, tmp_path, capsys):
         frf = self.make_frf_file(tmp_path, capsys)
         r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        _, out1, _ = run(
-            capsys,
-            "fit", "--frf", str(frf), "--report", str(r1),
-            "--seed", "7", "--multistart", "4",
-        )
-        _, out2, _ = run(
-            capsys,
-            "fit", "--frf", str(frf), "--report", str(r2),
-            "--seed", "7", "--multistart", "4",
-        )
+        _, out1, _ = run(capsys, "fit", "--frf", str(frf), "--report", str(r1))
+        _, out2, _ = run(capsys, "fit", "--frf", str(frf), "--report", str(r2))
         assert r1.read_bytes() == r2.read_bytes()
         assert out1 == out2
 
@@ -321,13 +313,38 @@ class TestFit:
         # An initial guess with lambda1 > lambda2 is only a starting point:
         # the fit's parameterisation, not validation, keeps lambda1 < lambda2.
         frf = self.make_frf_file(tmp_path, capsys)
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             "fit", "--frf", str(frf), "--report", str(tmp_path / "r.csv"),
             "--mu", "1e5", "--lambda1", "0.05", "--lambda2", "0.02", "--alpha", "1.5",
         )
         assert code != 2
         assert "constraints violated" not in err
+        assert json.loads(out.strip().splitlines()[-1])["objective"] < 1e-12
+
+    @pytest.mark.parametrize("scale", [1.71e-305, 1.71e-295])
+    def test_extreme_gain_level(self, tmp_path, capsys, scale):
+        # The cylinder FRF scaled down: at 1.71e-295 mu is 1e300 and the fit
+        # is exact; at 1.71e-305 mu would be 1e310, beyond the float range,
+        # which is a usage error with a message, not a traceback.
+        frf = self.make_frf_file(tmp_path, capsys)
+        data = read_frf(frf)
+        scaled = tmp_path / "scaled.csv"
+        write_frf_rows(
+            data.frequencies_hz, data.magnitude_db + 20.0 * math.log10(scale),
+            data.phase_deg_unwrapped, scaled,
+        )
+        code, out, err = run(
+            capsys, "fit", "--frf", str(scaled), "--report", str(tmp_path / "r.csv")
+        )
+        if scale < 1e-300:
+            assert code == 2
+            assert "mu = 10^310.0" in err
+        else:
+            assert code == 0
+            summary = json.loads(out.strip().splitlines()[-1])
+            assert summary["objective"] < 1e-12
+            assert abs(summary["mu"] / 1e300 - 1.0) <= 0.02
 
 
 class TestImpulseStudy:
@@ -430,9 +447,11 @@ def test_frf_file_round_trip_through_cli(tmp_path, capsys):
         ["impulse-study", "--gammas", "1", "--duration", "1", "--step", "1e-3",
          "--out", "s.csv", "--gamma", "1.0"],
         ["fit", "--frf", "f.csv", "--report", "r.csv", "--multi", "1"],
+        ["fit", "--frf", "f.csv", "--report", "r.csv", "--seed", "0"],
+        ["fit", "--frf", "f.csv", "--report", "r.csv", "--multistart", "3"],
     ],
     ids=["fit-tolerance", "fit-beta", "fit-gamma", "fit-unconstrained", "study-gamma",
-         "fit-multi"],
+         "fit-multi", "fit-seed", "fit-multistart"],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -463,7 +482,6 @@ def test_option_strings_per_subcommand():
         },
         "fit": common | {
             "--frf", "--model-class", "--report", "--max-iterations",
-            "--multistart", "--seed",
         },
         "impulse-study": common | {
             "--beta", "--unconstrained",

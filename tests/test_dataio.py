@@ -144,7 +144,7 @@ class TestReadTimeseries:
 class TestFitReport:
     def test_params_round_trip_and_residual_identity(self, tmp_path, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
-        result = fit(data, FitConfig(seed=0))
+        result = fit(data, FitConfig())
         path = tmp_path / "report.csv"
         write_fit_report(result, data, path)
 
