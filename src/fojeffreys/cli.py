@@ -61,14 +61,16 @@ def _add_param_flags(parser: argparse.ArgumentParser, names) -> None:
         group.add_argument(f"--{name}", **_PARAM_FLAGS[name])
 
 
-def _resolve_params(args, required: bool = True) -> FoJeffreysParams | None:
+def _resolve_params(args, guess: bool = False) -> FoJeffreysParams | None:
     values = asdict(dataio.read_params(args.params)) if args.params else {}
     for name in _PARAM_NAMES:
         override = getattr(args, name, None)
         if override is not None:
             values[name] = override
-    if not values and not required:
-        return None
+    if guess:  # fit's optional initial guess
+        if not values:
+            return None
+        values.setdefault("mu", 1.0)  # never read: the fit projects mu out
     missing = [n for n in _PARAM_NAMES if n not in values and n not in ("beta", "gamma")]
     if missing:
         raise ValueError(f"missing model parameters: {', '.join(missing)}")
@@ -149,7 +151,7 @@ def _cmd_fit(args) -> int:
     data = dataio.read_frf(args.frf)
     config = FitConfig(
         model_class=args.model_class,
-        initial_guess=_resolve_params(args, required=False),
+        initial_guess=_resolve_params(args, guess=True),
         max_iterations=args.max_iterations,
     )
     exit_code = EXIT_OK

@@ -1,13 +1,13 @@
 """Least-squares identification of Jeffreys-model parameters from FRF data.
 
 One residual vector r = [dB residuals, degree residuals] compares model and
-data, with both phase curves unwrapped continuously across the sweep before
-differencing. The objective is ||r||^2 (dB^2 and deg^2 with equal weight),
-and the residual report tabulates r point by point. mu only shifts the dB
-residuals, so the fit projects it out (Golub & Pereyra 1973) and runs
-Levenberg-Marquardt (Moré 1978) in theta = [log lambda2, logit(lambda1 /
-lambda2), logit(alpha / 2)], the last for FO only, where the constraints
-0 < lambda1 < lambda2 and 0 < alpha < 2 hold by construction.
+data, with both phase curves continuous across the sweep (the data's by
+np.unwrap, the model's by its closed-form branch) before differencing. The
+objective is ||r||^2 (dB^2 and deg^2 with equal weight), and the residual
+report tabulates r point by point. mu only shifts the dB residuals, so the fit
+projects it out (Golub & Pereyra 1973) and runs Levenberg-Marquardt (Moré 1978)
+in theta = [log lambda2, logit(lambda1 / lambda2), logit(alpha / 2)], the last
+for FO only, where 0 < lambda1 < lambda2 and 0 < alpha < 2 hold by construction.
 """
 
 from __future__ import annotations
@@ -179,15 +179,19 @@ class ResidualReport:
 
 
 def _report(params: FoJeffreysParams, data: FrfDataset) -> ResidualReport:
-    # The one model-versus-data comparison behind objective, residual_report
-    # and the fit's residual vector.
+    """The model-versus-data comparison behind every objective and residual.
+
+    For orders in (0, 2), arg G = arg(1 + lambda1 s^beta) - 90 gamma - arg(1 +
+    lambda2 s^alpha) lies in (-180 - 90 gamma, 180 - 90 gamma) degrees, so the
+    model phase takes its continuous branch in closed form, not by np.unwrap.
+    """
     gains = freq_response(params, data.omega)
     model_db = 20.0 * np.log10(np.abs(gains))
-    model_deg = np.degrees(np.unwrap(np.angle(gains)))
-    data_db = data.magnitude_db
-    data_deg = data.phase_deg_unwrapped
-    # Both phases are already continuous; align the 360-degree branch at the
-    # first point so the difference is branch-independent.
+    model_deg = np.degrees(np.angle(gains))
+    model_deg[model_deg > 180.0 - 90.0 * params.gamma] -= 360.0
+    data_db, data_deg = data.magnitude_db, data.phase_deg_unwrapped
+    # Align the 360-degree branch at the first point, so the difference of
+    # the two continuous phases is branch-independent.
     model_deg = model_deg - 360.0 * round((model_deg[0] - data_deg[0]) / 360.0)
     return ResidualReport(
         frequency_hz=data.frequencies_hz,
@@ -204,7 +208,7 @@ def objective(params: FoJeffreysParams, data: FrfDataset) -> float:
     """Equal-weight dB/degree squared-error objective.
 
     Sums ``(model_dB - data_dB)^2 + (model_deg - data_deg)^2`` over all
-    points, with both phase curves unwrapped across the sweep before
+    points, with both phase curves continuous across the sweep before
     differencing.
     """
     return _report(params, data).sum_squared
@@ -225,8 +229,8 @@ def _logit(x: float) -> float:
     return math.log(x / (1.0 - x))
 
 
-def _sigmoid(v: float | np.ndarray) -> float | np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(v, -_LOGIT_CLIP, _LOGIT_CLIP)))
+def _sigmoid(v: float) -> float:
+    return 1.0 / (1.0 + np.exp(-min(max(v, -_LOGIT_CLIP), _LOGIT_CLIP)))
 
 
 def _pack(params: FoJeffreysParams, model_class: str) -> np.ndarray:
@@ -237,7 +241,7 @@ def _pack(params: FoJeffreysParams, model_class: str) -> np.ndarray:
 
 
 def _unpack(theta: np.ndarray, model_class: str) -> FoJeffreysParams:
-    lambda2 = math.exp(np.clip(theta[0], -_LOG_CLIP, _LOG_CLIP))
+    lambda2 = math.exp(min(max(theta[0], -_LOG_CLIP), _LOG_CLIP))
     alpha = 2.0 * _sigmoid(theta[2]) if model_class == "FO" else 1.0
     return FoJeffreysParams(
         mu=1.0,
@@ -293,29 +297,38 @@ def _grid(data: FrfDataset, model_class: str) -> tuple[np.ndarray, np.ndarray]:
     The corner lambda2^(-1/alpha) spans the band +-1 decade (16 values), logit
     rho [-3, 3] (7) and, for FO, logit(alpha/2) [-2.5, 2.5] (9). Costs are
     taken at most at 24 log-spaced points: on all 200 points of a sweep, the
-    ranking costs more than the start saves. For 0 < alpha < 2 both
-    1 + lambda_i z lie in the upper half plane, so the phase needs no
-    unwrapping; its branch is aligned at the first point.
+    ranking costs more than the start saves. ln G = ln((1 + rho w) / (1 + w))
+    - ln(j omega), with w = lambda2 (j omega)^alpha = x + jy formed once for
+    all rho, is taken in real arithmetic. For 0 < alpha < 2 both brackets lie
+    in the upper half plane, so the argument of their quotient is continuous
+    and needs no unwrapping; its branch is aligned at the first point.
     """
     log_w = np.log(data.omega)
     keep = np.unique(np.searchsorted(log_w, np.linspace(log_w[0], log_w[-1], 24)))
-    log_jomega = log_w[keep] + 0.5j * math.pi
-    corner, logit_rho, logit_half_alpha = (g.reshape(-1, 1) for g in np.meshgrid(
-        np.linspace(log_w[0] - math.log(10.0), log_w[-1] + math.log(10.0), 16),
-        np.linspace(-3.0, 3.0, 7),
-        np.linspace(-2.5, 2.5, 9) if model_class == "FO" else [0.0],
-        indexing="ij",
-    ))
-    alpha = 2.0 * _sigmoid(logit_half_alpha)  # 1 for IO
-    log_lambda2 = -alpha * corner
-    w2 = np.exp(log_lambda2 + alpha * log_jomega)
-    ln_g = np.log1p(_sigmoid(logit_rho) * w2) - np.log1p(w2) - log_jomega
-    r_db = _DB_PER_NEPER * ln_g.real - data.magnitude_db[keep]
-    r_deg = _DEG_PER_RAD * ln_g.imag - data.phase_deg_unwrapped[keep]
-    r_db -= np.mean(r_db, axis=1, keepdims=True)
-    r_deg -= 360.0 * np.round(r_deg[:, :1] / 360.0)
-    columns = [log_lambda2, logit_rho] + [logit_half_alpha] * (model_class == "FO")
-    return np.hstack(columns), np.sum(r_db**2, axis=1) + np.sum(r_deg**2, axis=1)
+    log_w, fo = log_w[keep], model_class == "FO"
+    corner = np.linspace(log_w[0] - math.log(10.0), log_w[-1] + math.log(10.0), 16)
+    logit_rho = np.linspace(-3.0, 3.0, 7)
+    logit_half_alpha = np.linspace(-2.5, 2.5, 9) if fo else np.zeros(1)
+    alpha = 2.0 / (1.0 + np.exp(-logit_half_alpha))  # 1 for IO; no clip needed
+    c, r, a = np.meshgrid(corner, logit_rho, logit_half_alpha, indexing="ij")
+    theta = np.stack([-alpha * c, r, a][: 2 + fo], axis=-1)
+    # Axes (rho, corner, alpha, point), so each rho scales one contiguous block.
+    rho = (1.0 / (1.0 + np.exp(-logit_rho))).reshape(-1, 1, 1, 1)
+    alpha = alpha[:, None]
+    m = np.exp(alpha * (log_w - corner[:, None, None]))  # |w|
+    x, y, m2 = m * np.cos(0.5 * math.pi * alpha), m * np.sin(0.5 * math.pi * alpha), m * m
+    # |1 + rho w|^2 - |1 + w|^2 = (rho - 1)(2x + (rho + 1)|w|^2), and
+    # (1 + rho w) conj(1 + w) = 1 + x + rho (x + |w|^2) + j (rho - 1) y.
+    ln_mag = 0.5 * np.log1p((rho - 1.0) * (2.0 * x + (rho + 1.0) * m2) / (1.0 + 2.0 * x + m2))
+    arg = np.arctan2((rho - 1.0) * y, (1.0 + x) + rho * (x + m2))
+    # Residuals in nepers and radians; the cost scales them to dB and degrees.
+    r_mag = ln_mag.reshape(-1, keep.size) - (log_w + data.magnitude_db[keep] / _DB_PER_NEPER)
+    r_arg = arg.reshape(-1, keep.size) - np.radians(data.phase_deg_unwrapped[keep] + 90.0)
+    r_mag -= r_mag.mean(axis=1, keepdims=True)
+    r_arg -= (2.0 * math.pi) * np.round(r_arg[:, :1] / (2.0 * math.pi))
+    costs = _DB_PER_NEPER**2 * np.einsum("ij,ij->i", r_mag, r_mag)
+    costs += _DEG_PER_RAD**2 * np.einsum("ij,ij->i", r_arg, r_arg)
+    return theta.reshape(-1, 2 + fo), costs.reshape(7, 16, -1).transpose(1, 0, 2).ravel()
 
 
 def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
@@ -347,7 +360,7 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     residuals, jacobian = _lm_problem(data, config.model_class)
     solutions = [
         least_squares(
-            residuals, start, jac=jacobian, method="lm", ftol=_TOLERANCE,
+            residuals, start, jac=jacobian, method="lm", x_scale="jac", ftol=_TOLERANCE,
             xtol=_TOLERANCE, gtol=_TOLERANCE, max_nfev=int(config.max_iterations),
         )
         for start in starts

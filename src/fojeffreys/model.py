@@ -115,7 +115,7 @@ def _jw_pow(omega: np.ndarray, p: float) -> np.ndarray:
 
 def _check_omega(omega) -> tuple[np.ndarray, bool]:
     w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+    if w.size and not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails both
         raise ValueError("angular frequency must be finite and positive")
     return w, w.ndim == 0
 
@@ -127,10 +127,10 @@ def freq_response(params: FoJeffreysParams, omega):
     returns the matching complex scalar or array.
     """
     w, scalar = _check_omega(omega)
-    num = params.lambda1 * _jw_pow(w, params.beta) + 1.0
-    den = params.mu * _jw_pow(w, params.gamma) * (
-        params.lambda2 * _jw_pow(w, params.alpha) + 1.0
-    )
+    z_alpha = _jw_pow(w, params.alpha)
+    z_beta = z_alpha if params.beta == params.alpha else _jw_pow(w, params.beta)
+    num = params.lambda1 * z_beta + 1.0
+    den = params.mu * _jw_pow(w, params.gamma) * (params.lambda2 * z_alpha + 1.0)
     out = num / den
     return complex(out) if scalar else out
 

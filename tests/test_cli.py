@@ -286,6 +286,21 @@ class TestFit:
         )
         assert code == 2
 
+    def test_guess_needs_no_mu(self, tmp_path, capsys):
+        # The fit projects mu out, so a guess without --mu is complete and
+        # --mu, still accepted, changes nothing.
+        frf = self.make_frf_file(tmp_path, capsys)
+        guess = ["--lambda1", "0.01", "--lambda2", "0.05", "--alpha", "1.5"]
+        outputs = []
+        for extra, name in (([], "without.csv"), (["--mu", "1e-300"], "with.csv")):
+            report = tmp_path / name
+            code, out, err = run(
+                capsys, "fit", "--frf", str(frf), "--report", str(report), *guess, *extra
+            )
+            assert code == 0, err
+            outputs.append((out, report.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_non_convergence_exit_code_writes_incumbent(self, tmp_path, capsys):
         frf = self.make_frf_file(tmp_path, capsys)
         report = tmp_path / "incumbent.csv"

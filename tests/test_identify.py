@@ -144,6 +144,71 @@ class TestResidualReport:
         assert np.all(per_point > 0.0)
 
 
+def unwrap_reference_deg(params, data):
+    # The model phase by np.unwrap of the principal angles, aligned to the
+    # data's branch at the first point.
+    deg = np.degrees(np.unwrap(np.angle(freq_response(params, data.omega))))
+    return deg - 360.0 * round((deg[0] - data.phase_deg_unwrapped[0]) / 360.0)
+
+
+def needs_shift(params, data):
+    # Whether some principal angle lies above the continuous phase's window.
+    deg = np.degrees(np.angle(freq_response(params, data.omega)))
+    return bool(np.any(deg > 180.0 - 90.0 * params.gamma))
+
+
+class TestPhaseBranch:
+    """_report takes the model phase's branch in closed form, not by np.unwrap."""
+
+    def test_constrained_sweep_crossing_minus_180(self):
+        lambda2 = 0.1
+        params = FoJeffreysParams(
+            mu=1.0, lambda1=0.05 * lambda2, lambda2=lambda2, alpha=1.9, beta=1.9
+        )
+        data = make_synthetic_frf(params, n_points=200)
+        assert needs_shift(params, data)
+        model_deg = identify._report(params, data).model_deg
+        assert model_deg.min() < -180.0
+        np.testing.assert_allclose(
+            model_deg, unwrap_reference_deg(params, data), rtol=0.0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, crosses",
+        [
+            ({"lambda1": 0.002, "lambda2": 0.5, "alpha": 1.8, "beta": 0.6, "gamma": 0.5}, True),
+            ({"lambda1": 0.001, "lambda2": 1.0, "alpha": 1.95, "beta": 0.2, "gamma": 1.5}, True),
+            ({"lambda1": 0.3, "lambda2": 0.05, "alpha": 1.2, "beta": 1.7, "gamma": 1.5}, False),
+            ({"lambda1": 0.2, "lambda2": 0.1, "alpha": 1.9, "beta": 0.3, "gamma": 1.0}, True),
+            ({"lambda1": 1.0, "lambda2": 0.01, "alpha": 0.2, "beta": 1.95, "gamma": 0.5}, False),
+        ],
+        ids=["gamma0.5", "gamma1.5", "gamma1.5-lead", "lambda1>lambda2", "gamma0.5-lead"],
+    )
+    def test_unconstrained_objective_matches_unwrap(self, kwargs, crosses):
+        params = FoJeffreysParams(mu=2.0, **kwargs)
+        data = add_frf_noise(
+            make_synthetic_frf(FoJeffreysParams(**CYLINDER)),
+            db_sigma=0.5, deg_sigma=2.0, seed=0,
+        )
+        assert needs_shift(params, data) == crosses
+        report = identify._report(params, data)
+        reference_deg = unwrap_reference_deg(params, data)
+        np.testing.assert_allclose(report.model_deg, reference_deg, rtol=0.0, atol=1e-9)
+        reference = np.sum(report.residual_db**2) + np.sum(
+            (reference_deg - data.phase_deg_unwrapped) ** 2
+        )
+        assert math.isclose(objective(params, data), reference, rel_tol=1e-12)
+
+    def test_sweep_without_crossing_is_bit_identical(self, cylinder_params):
+        data = add_frf_noise(
+            make_synthetic_frf(cylinder_params, n_points=200),
+            db_sigma=0.5, deg_sigma=2.0, seed=0,
+        )
+        assert not needs_shift(cylinder_params, data)
+        model_deg = identify._report(cylinder_params, data).model_deg
+        assert np.array_equal(model_deg, unwrap_reference_deg(cylinder_params, data))
+
+
 class TestFitConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -377,3 +442,15 @@ class TestFit:
         result = fit(data, FitConfig())
         total = float(np.sum(result.per_point_residuals**2))
         assert math.isclose(total, result.objective, rel_tol=1e-12, abs_tol=1e-30)
+
+    def test_lm_scales_by_jacobian_columns(self, cylinder_params, monkeypatch):
+        # scipy changed method="lm"'s default x_scale from 1 to "jac" in 1.16;
+        # pinning it keeps the iterations independent of the installed scipy.
+        calls = []
+        solve = identify.least_squares
+        monkeypatch.setattr(
+            identify, "least_squares", lambda *a, **kw: calls.append(kw) or solve(*a, **kw)
+        )
+        fit(make_synthetic_frf(cylinder_params), FitConfig(initial_guess=cylinder_params))
+        assert len(calls) == 2
+        assert all(kw["x_scale"] == "jac" for kw in calls)

@@ -108,10 +108,26 @@ class TestFreqResponse:
         for w, g in zip(omega, gains):
             assert g == freq_response(cylinder_params, float(w))
 
-    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "omega",
+        [0.0, -1.0, math.nan, math.inf, -math.inf]
+        + [
+            pytest.param(np.array([0.1, 1.0, bad, 10.0]), id=f"array-{bad}")
+            for bad in (math.nan, math.inf, 0.0, -1.0)
+        ],
+    )
     def test_domain_error(self, cylinder_params, omega):
+        # One bad entry anywhere is enough, for the model and for every
+        # classical reduction alike.
         with pytest.raises(ValueError):
             freq_response(cylinder_params, omega)
+        for variant in (
+            DashpotParams(viscosity=1.0),
+            ZenerParams(modulus=1.0, retardation_rate=1.0, relaxation_rate=2.0),
+            IntegerJeffreysParams(stiffness=1.0, parallel_viscosity=0.5, series_viscosity=1.0),
+        ):
+            with pytest.raises(ValueError):
+                classical_freq_response(variant, omega)
 
 
 class TestReducesToDashpot:
