@@ -96,11 +96,9 @@ def read_frf(path) -> FrfDataset:
     rows and ``ValueError`` for violated dataset invariants (fewer than four
     points, non-increasing frequencies).
     """
-    rows = _read_table(path, FRF_HEADER, n_fields=3)
-    freqs = np.array([r[0] for r in rows])
-    mags = 10.0 ** (np.array([r[1] for r in rows]) / 20.0)
-    phases = np.radians([r[2] for r in rows])
-    gains = mags * (np.cos(phases) + 1j * np.sin(phases))
+    freqs, db, deg = _read_table(path, FRF_HEADER, n_fields=3)
+    phases = np.radians(deg)
+    gains = 10.0 ** (db / 20.0) * (np.cos(phases) + 1j * np.sin(phases))
     return FrfDataset(frequencies_hz=freqs, gains=gains)
 
 
@@ -114,11 +112,9 @@ def read_timeseries(path) -> TimeSeries:
 
     Spacing deviations beyond 1e-9 of the step are rejected.
     """
-    rows = _read_table(path, TIMESERIES_HEADER, n_fields=2)
-    if len(rows) < 2:
+    times, values = _read_table(path, TIMESERIES_HEADER, n_fields=2)
+    if times.size < 2:
         raise ValueError(f"{path}: a time series needs at least 2 samples")
-    times = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
     step = times[1] - times[0]
     if step <= 0.0:
         raise ValueError(f"{path}: time column must be increasing")
@@ -183,25 +179,35 @@ def read_params(path) -> FoJeffreysParams:
     return FoJeffreysParams(**found)
 
 
-def _read_table(path, header: str, n_fields: int) -> list[tuple[float, ...]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+def _read_table(path, header: str, n_fields: int) -> np.ndarray:
+    """The non-blank lines below ``header`` as an (n_fields, rows) array.
+
+    The table is converted at once; only if that fails is it scanned line by
+    line, to name the first malformed line.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != header:
         raise FrfParseError(path, 1, f"expected header {header!r}")
-    rows = []
-    for line_number, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
+    body = [line for line in map(str.strip, lines[1:]) if line]
+    table = None
+    if all(line.count(",") == n_fields - 1 for line in body):
+        try:
+            table = np.array(list(map(float, ",".join(body).split(",") if body else [])))
+        except ValueError:  # a non-numeric field
+            pass
+    if table is not None and np.isfinite(table).all():
+        return table.reshape(len(body), n_fields).T.copy()
+    for line_number, line in enumerate(map(str.strip, lines[1:]), start=2):
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != n_fields:
-            raise FrfParseError(
-                path, line_number, f"expected {n_fields} fields, got {len(fields)}"
-            )
+            message = f"expected {n_fields} fields, got {len(fields)}"
+            raise FrfParseError(path, line_number, message)
         try:
-            rows.append(tuple(float(field) for field in fields))
+            values = list(map(float, fields))
         except ValueError as exc:
             raise FrfParseError(path, line_number, f"non-numeric field in {line!r}") from exc
-        if not all(math.isfinite(v) for v in rows[-1]):
+        if not all(map(math.isfinite, values)):
             raise FrfParseError(path, line_number, f"non-finite value in {line!r}")
-    return rows
+    raise AssertionError("the line-by-line scan found no malformed line")

@@ -5,9 +5,10 @@ data, with both phase curves continuous across the sweep (the data's by
 np.unwrap, the model's by its closed-form branch) before differencing. The
 objective is ||r||^2 (dB^2 and deg^2 with equal weight), and the residual
 report tabulates r point by point. mu only shifts the dB residuals, so the fit
-projects it out (Golub & Pereyra 1973) and runs Levenberg-Marquardt (Moré 1978)
-in theta = [log lambda2, logit(lambda1 / lambda2), logit(alpha / 2)], the last
-for FO only, where 0 < lambda1 < lambda2 and 0 < alpha < 2 hold by construction.
+projects it out (Golub & Pereyra 1973) and runs MINPACK's Levenberg-Marquardt
+lmder (Moré 1978) through leastsq, with residual and Jacobian from one ln G per
+theta = [log lambda2, logit(lambda1 / lambda2), logit(alpha / 2)] (FO only the
+last), where 0 < lambda1 < lambda2 and 0 < alpha < 2 hold by construction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .model import FoJeffreysParams, freq_response, validate
 
@@ -38,6 +39,7 @@ __all__ = [
 _LOG_CLIP = 300.0
 _LOGIT_CLIP = 30.0
 _TOLERANCE = 1.0e-12  # relative; on the objective, the step and the gradient
+_LM_SUCCESS = (1, 2, 3, 4)  # MINPACK's ier when a tolerance was met
 # d(20 log10|G|) / d Re(ln G) and d(degrees arg G) / d Im(ln G).
 _DB_PER_NEPER = 20.0 / math.log(10.0)
 _DEG_PER_RAD = 180.0 / math.pi
@@ -240,53 +242,64 @@ def _pack(params: FoJeffreysParams, model_class: str) -> np.ndarray:
     return np.array(theta)
 
 
-def _unpack(theta: np.ndarray, model_class: str) -> FoJeffreysParams:
+def _shape(theta: np.ndarray, fo: bool) -> tuple[float, float, float]:
     lambda2 = math.exp(min(max(theta[0], -_LOG_CLIP), _LOG_CLIP))
-    alpha = 2.0 * _sigmoid(theta[2]) if model_class == "FO" else 1.0
-    return FoJeffreysParams(
-        mu=1.0,
-        lambda1=lambda2 * _sigmoid(theta[1]),
-        lambda2=lambda2,
-        alpha=alpha,
-        beta=alpha,
-        gamma=1.0,
-    )
+    alpha = 2.0 * _sigmoid(theta[2]) if fo else 1.0
+    return lambda2 * _sigmoid(theta[1]), lambda2, alpha
+
+
+def _unpack(theta: np.ndarray, model_class: str) -> FoJeffreysParams:
+    lambda1, lambda2, alpha = _shape(theta, model_class == "FO")
+    return FoJeffreysParams(mu=1.0, lambda1=lambda1, lambda2=lambda2, alpha=alpha, beta=alpha)
 
 
 def _lm_problem(data: FrfDataset, model_class: str):
     """The reduced residual r(theta) and its closed-form Jacobian, for LM.
 
     r = [dB residual minus its mean, degree residual] of ``_report`` at
-    mu = 1; the centring, which projects out log mu, does not depend on
-    theta. With z = (j omega)^alpha and q_i = lambda_i z / (1 + lambda_i z),
-    the derivatives of ln G in theta are q1 - q2, (1 - rho) q1 and
-    alpha (1 - alpha/2) ln(j omega) (q1 - q2), rho = lambda1 / lambda2. The
-    dB rows are 20/ln 10 times their real parts, centred, and the degree
-    rows 180/pi times their imaginary parts. A coordinate that ``_unpack``
-    clips has a zero column, so the Jacobian is that of the map evaluated.
+    mu = 1; the centring projects out log mu. Both come from one ln G =
+    log1p(w1) - log1p(w2) - ln(j omega) per theta, w_i = lambda_i (j omega)^alpha,
+    kept for the Jacobian that MINPACK takes where it has just taken r. For
+    0 < alpha < 2, Im ln G lies in ``_report``'s branch, (-270, 90) degrees.
+    With q_i = w_i / (1 + w_i), ln G has the derivatives q1 - q2, (1 - rho) q1
+    and alpha (1 - alpha/2) ln(j omega) (q1 - q2) in theta, rho = lambda1 /
+    lambda2; the dB rows are 20/ln 10 times their real parts, centred, the
+    degree rows 180/pi times their imaginary parts. A clipped coordinate has
+    a zero column.
     """
     log_jomega = np.log(data.omega) + 0.5j * math.pi
-    fo = model_class == "FO"
+    n, fo = len(data), model_class == "FO"
     bounds = np.array([_LOG_CLIP, _LOGIT_CLIP] + [_LOGIT_CLIP] * fo)
+    data_db, data_deg = data.magnitude_db, data.phase_deg_unwrapped
+    cache: dict[bytes, tuple] = {}
+
+    def evaluate(theta: np.ndarray) -> tuple:
+        key = theta.tobytes()
+        if key not in cache:
+            lambda1, lambda2, alpha = _shape(theta, fo)
+            z = np.exp(alpha * log_jomega)
+            w1, w2 = lambda1 * z, lambda2 * z
+            cache.clear()
+            cache[key] = alpha, w1, w2, np.log1p(w1) - np.log1p(w2) - log_jomega
+        return cache[key]
 
     def residuals(theta: np.ndarray) -> np.ndarray:
-        report = _report(_unpack(theta, model_class), data)
-        db = report.residual_db
-        return np.concatenate([db - np.mean(db), report.residual_deg])
+        log_g = evaluate(theta)[3]
+        db = _DB_PER_NEPER * log_g.real - data_db
+        deg = _DEG_PER_RAD * log_g.imag
+        deg -= 360.0 * round((deg[0] - data_deg[0]) / 360.0)  # as _report aligns it
+        return np.concatenate([db - db.sum() / n, deg - data_deg])
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
-        params = _unpack(theta, model_class)
-        z = np.exp(params.alpha * log_jomega)
-        w1 = params.lambda1 * z
-        w2 = params.lambda2 * z
+        alpha, w1, w2, _ = evaluate(theta)
         q1 = w1 / (1.0 + w1)
         dq = q1 - w2 / (1.0 + w2)
         columns = [dq, _sigmoid(-theta[1]) * q1]
         if fo:
-            columns.append((params.alpha * _sigmoid(-theta[2])) * log_jomega * dq)
+            columns.append((alpha * _sigmoid(-theta[2])) * log_jomega * dq)
         d = np.column_stack(columns) * (np.abs(theta) <= bounds)
         db = _DB_PER_NEPER * d.real
-        return np.concatenate([db - np.mean(db, axis=0), _DEG_PER_RAD * d.imag])
+        return np.concatenate([db - db.sum(axis=0) / n, _DEG_PER_RAD * d.imag])
 
     return residuals, jacobian
 
@@ -358,15 +371,16 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
         starts.append(_pack(config.initial_guess, config.model_class))
 
     residuals, jacobian = _lm_problem(data, config.model_class)
-    solutions = [
-        least_squares(
-            residuals, start, jac=jacobian, method="lm", x_scale="jac", ftol=_TOLERANCE,
-            xtol=_TOLERANCE, gtol=_TOLERANCE, max_nfev=int(config.max_iterations),
+    # No diag: MINPACK scales each coordinate by its Jacobian column's norm.
+    solutions = [  # each is (x, cov_x, info, message, ier)
+        leastsq(
+            residuals, start, Dfun=jacobian, full_output=True, ftol=_TOLERANCE,
+            xtol=_TOLERANCE, gtol=_TOLERANCE, maxfev=int(config.max_iterations),
         )
         for start in starts
     ]
-    best = min(solutions, key=lambda sol: sol.cost)
-    shape = _unpack(best.x, config.model_class)
+    x, _, info, _, ier = min(solutions, key=lambda sol: sol[2]["fvec"] @ sol[2]["fvec"])
+    shape = _unpack(x, config.model_class)
     log10_mu = float(np.mean(_report(shape, data).residual_db)) / 20.0
     if abs(log10_mu) > 307.0:  # 10^-307 <= mu <= 10^307 are normal floats
         raise ValueError(f"the FRF gain level needs mu = 10^{log10_mu:.1f}, out of range")
@@ -375,11 +389,11 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     result = FitResult(
         params=params,
         objective=report.sum_squared,
-        iterations=int(best.nfev),
-        converged=bool(best.success),
+        iterations=int(info["nfev"]),
+        converged=ier in _LM_SUCCESS,
         per_point_residuals=np.column_stack([report.residual_db, report.residual_deg]),
     )
     assert not validate(result.params, "constrained")
-    if not any(sol.success for sol in solutions):
+    if not any(sol[4] in _LM_SUCCESS for sol in solutions):
         raise FitNonConvergenceError(result)
     return result

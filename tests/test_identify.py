@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares, leastsq
 
 from fojeffreys import (
     FitConfig,
@@ -239,6 +240,57 @@ def coordinate(bound):
     )
 
 
+def rotated(data, degrees):
+    return FrfDataset(
+        frequencies_hz=data.frequencies_hz, gains=data.gains * np.exp(1j * math.radians(degrees))
+    )
+
+
+# Noisy cylinder data, and a 200-point sweep whose phase crosses -180 degrees
+# at the theta of its own parameters.
+CROSSING = FoJeffreysParams(mu=1.0, lambda1=0.005, lambda2=0.1, alpha=1.9, beta=1.9)
+CROSSING_THETA = tuple(identify._pack(CROSSING, "FO"))
+LM_GATE_DATA = (
+    add_frf_noise(
+        make_synthetic_frf(FoJeffreysParams(**CYLINDER)), db_sigma=0.5, deg_sigma=2.0, seed=0
+    ),
+    make_synthetic_frf(CROSSING, n_points=200),
+)
+
+
+class TestLmResidual:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["FO", "IO"]),
+        st.sampled_from(LM_GATE_DATA),
+        st.floats(-360.0, 360.0),
+        st.tuples(*map(coordinate, (300.0, 30.0, 30.0))),
+    )
+    @example("FO", LM_GATE_DATA[1], 0.0, CROSSING_THETA)
+    @example("FO", LM_GATE_DATA[1], 200.0, CROSSING_THETA)
+    def test_matches_report(self, model_class, data, degrees, theta):
+        # The LM residual is built from ln G, not by _report; it must be the
+        # reduced _report residual at the same theta. Rotating the data moves
+        # its first phase onto another 360-degree branch of the model's.
+        data = rotated(data, degrees)
+        theta = np.array(theta[: 3 if model_class == "FO" else 2])
+        residuals, _ = identify._lm_problem(data, model_class)
+        report = identify._report(identify._unpack(theta, model_class), data)
+        expected = np.concatenate(
+            [report.residual_db - np.mean(report.residual_db), report.residual_deg]
+        )
+        np.testing.assert_allclose(residuals(theta), expected, rtol=0.0, atol=1e-9)
+
+    def test_gate_data_reach_other_branches(self):
+        # The sweep's model phase crosses -180 degrees, and rotating its data
+        # by 200 degrees puts their first phase a branch away from the model's.
+        crossing = LM_GATE_DATA[1]
+        model_deg = identify._report(CROSSING, crossing).model_deg
+        assert model_deg.min() < -180.0
+        shifted_deg = identify._report(CROSSING, rotated(crossing, 200.0)).model_deg
+        assert math.isclose(shifted_deg[0] - model_deg[0], 360.0, abs_tol=1e-9)
+
+
 class TestJacobian:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -269,21 +321,41 @@ class TestJacobian:
     def test_fit_evaluates_no_finite_differences(
         self, cylinder_params, monkeypatch, model_class
     ):
-        # Levenberg-Marquardt from the grid start evaluates the residual
-        # result.iterations times; fit then reports once at mu = 1, for the
-        # mean dB offset, and once at the fitted mu. The grid is closed form,
-        # and a finite-difference Jacobian would add one evaluation per
-        # coordinate and iteration.
-        calls = []
-        report = identify._report
+        # MINPACK from the grid start evaluates the residual result.iterations
+        # times, after two shape checks at the start point (leastsq's and
+        # lmder's own), and takes every Jacobian from the closed form at the
+        # point whose residual it has just taken. A finite-difference
+        # Jacobian would call the residual instead, once per coordinate and
+        # iteration. fit then reports once at mu = 1, for the mean dB offset,
+        # and once at the fitted mu.
+        evaluated, jacobians, reports = [], [], []
+        problem, report = identify._lm_problem, identify._report
+
+        def counted_problem(*args):
+            residuals, jacobian = problem(*args)
+
+            def counted_residuals(theta):
+                evaluated.append(theta.copy())
+                return residuals(theta)
+
+            def counted_jacobian(theta):
+                jacobians.append(np.array_equal(theta, evaluated[-1]))
+                return jacobian(theta)
+
+            return counted_residuals, counted_jacobian
+
+        monkeypatch.setattr(identify, "_lm_problem", counted_problem)
         monkeypatch.setattr(
-            identify, "_report", lambda *a: calls.append(a) or report(*a)
+            identify, "_report", lambda *a: reports.append(a) or report(*a)
         )
         data = add_frf_noise(
             make_synthetic_frf(cylinder_params), db_sigma=0.5, deg_sigma=2.0, seed=0
         )
         result = fit(data, FitConfig(model_class=model_class))
-        assert len(calls) == result.iterations + 2
+        assert len(evaluated) == result.iterations + 2
+        assert np.array_equal(evaluated[0], evaluated[2])
+        assert len(jacobians) > 1 and all(jacobians)
+        assert len(reports) == 2
 
     @pytest.mark.parametrize("model_class", ["FO", "IO"])
     def test_grid_costs_match_report(self, model_class):
@@ -444,13 +516,37 @@ class TestFit:
         assert math.isclose(total, result.objective, rel_tol=1e-12, abs_tol=1e-30)
 
     def test_lm_scales_by_jacobian_columns(self, cylinder_params, monkeypatch):
-        # scipy changed method="lm"'s default x_scale from 1 to "jac" in 1.16;
-        # pinning it keeps the iterations independent of the installed scipy.
+        # MINPACK's mode 1 (no diag) scales each coordinate by its Jacobian
+        # column norm, what least_squares calls x_scale="jac"; a closed-form
+        # Dfun keeps it on lmder, not the finite-difference lmdif.
         calls = []
-        solve = identify.least_squares
+        solve = identify.leastsq
         monkeypatch.setattr(
-            identify, "least_squares", lambda *a, **kw: calls.append(kw) or solve(*a, **kw)
+            identify, "leastsq", lambda *a, **kw: calls.append(kw) or solve(*a, **kw)
         )
         fit(make_synthetic_frf(cylinder_params), FitConfig(initial_guess=cylinder_params))
         assert len(calls) == 2
-        assert all(kw["x_scale"] == "jac" for kw in calls)
+        assert all(callable(kw["Dfun"]) and kw.get("diag") is None for kw in calls)
+
+    @pytest.mark.parametrize("model_class", ["FO", "IO"])
+    def test_leastsq_matches_least_squares_lm(self, cylinder_params, model_class):
+        # Both drive MINPACK lmder with step factor 100 and column scaling,
+        # so on the same closures they end at the same point after the same
+        # number of residual evaluations.
+        data = add_frf_noise(
+            make_synthetic_frf(cylinder_params), db_sigma=0.5, deg_sigma=2.0, seed=0
+        )
+        residuals, jacobian = identify._lm_problem(data, model_class)
+        theta, costs = identify._grid(data, model_class)
+        for start in (theta[np.argmin(costs)], identify._pack(cylinder_params, model_class)):
+            x, _, info, _, ier = leastsq(
+                residuals, start, Dfun=jacobian, full_output=True,
+                ftol=1e-12, xtol=1e-12, gtol=1e-12, maxfev=5000,
+            )
+            sol = least_squares(
+                residuals, start, jac=jacobian, method="lm", x_scale="jac",
+                ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=5000,
+            )
+            assert ier in (1, 2, 3, 4) and sol.success
+            assert np.array_equal(x, sol.x)
+            assert info["nfev"] == sol.nfev
