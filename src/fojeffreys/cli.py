@@ -136,8 +136,7 @@ def _cmd_simulate(args) -> int:
     if spec.kind == "impulse":
         limit = _DIVERGENCE_FACTOR * abs(spec.area) / params.mu
     result = simulate(params, generate_signal(spec), divergence_limit=limit)
-    dataio.write_timeseries(result.input, args.out_input)
-    dataio.write_timeseries(result.output, args.out_output)
+    dataio.write_timeseries(result.input, args.out_input, (result.output, args.out_output))
     summary = {
         "samples": len(result.output),
         "final_value": float(result.output.samples[-1]),

@@ -4,13 +4,16 @@ All files are comma-separated UTF-8 text with a header row and LF line
 endings. Frequency-response files store magnitude in dB and phase in
 degrees wrapped to (-360, 0], matching how Bode data is published; numbers
 are written with shortest round-trip formatting so read(write(x))
-reproduces x exactly.
+reproduces x exactly. Tables are written in chunks of rows, with the same
+bytes as one whole-file string; files that share a first column, in one pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,7 @@ __all__ = [
 
 FRF_HEADER = "frequency_hz,magnitude_db,phase_deg"
 TIMESERIES_HEADER = "time_s,value"
+_CHUNK_ROWS = 4096  # rows formatted per pass; bounds the writers' peak memory
 
 
 class FrfParseError(ValueError):
@@ -46,12 +50,6 @@ class FrfParseError(ValueError):
         super().__init__(f"{path}:{line_number}: {message}")
 
 
-def _fmt(value: float) -> str:
-    # repr of a Python float is the shortest string that round-trips exactly
-    # and is locale-independent.
-    return repr(float(value))
-
-
 def wrap_phase_deg(phase_deg):
     """Wrap phase in degrees into the interval (-360, 0]."""
     phase = np.asarray(phase_deg, dtype=float)
@@ -59,13 +57,38 @@ def wrap_phase_deg(phase_deg):
     return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
+def _write_tables(first_column, tables) -> None:
+    """Write (header, columns, path) tables whose rows start with ``first_column``.
+
+    Rows go out ``_CHUNK_ROWS`` at a time, each chunk of the shared column
+    formatted once for all files. Values are written as the ``repr`` of a
+    Python float: the shortest string that round-trips exactly, whatever the
+    locale. A path named twice gets the last table.
+    """
+    first = np.asarray(first_column, dtype=float)
+    by_file = {
+        os.path.realpath(path): (header, [np.asarray(c, dtype=float) for c in columns], path)
+        for header, columns, path in tables
+    }
+    if any(len(c) != len(first) for _, columns, _ in by_file.values() for c in columns):
+        raise ValueError("columns differ in length")
+    with contextlib.ExitStack() as stack:
+        files = []
+        for header, columns, path in by_file.values():
+            file = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+            file.write(header + "\n")
+            files.append((file, columns))
+        for start in range(0, len(first), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            shared = list(map(repr, first[rows].tolist()))
+            for file, columns in files:
+                chunk = zip(shared, *(map(repr, c[rows].tolist()) for c in columns))
+                file.write("\n".join(map(",".join, chunk)) + "\n")
+
+
 def write_columns(header: str, columns, path) -> None:
     """Write equal-length numeric columns as rows below the ``header`` text."""
-    # Formats the same as _fmt, column by column; float() of each element
-    # keeps peak memory below that of a tolist() copy.
-    rows = zip(*(map(repr, map(float, column)) for column in columns))
-    text = "\n".join([header, *map(",".join, rows)]) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    _write_tables(columns[0], [(header, columns[1:], path)])
 
 
 def write_frf_rows(frequencies_hz, magnitude_db, phase_deg, path) -> None:
@@ -102,9 +125,12 @@ def read_frf(path) -> FrfDataset:
     return FrfDataset(frequencies_hz=freqs, gains=gains)
 
 
-def write_timeseries(series: TimeSeries, path) -> None:
-    """Write a sampled signal as time/value rows."""
-    write_columns(TIMESERIES_HEADER, (series.times, series.samples), path)
+def write_timeseries(series: TimeSeries, path, *more) -> None:
+    """Write a sampled signal as time/value rows, plus (series, path) pairs on its grid."""
+    if any(other.step != series.step for other, _ in more):
+        raise ValueError("series written together must share the time step")
+    tables = [(TIMESERIES_HEADER, [s.samples], p) for s, p in [(series, path), *more]]
+    _write_tables(series.times, tables)
 
 
 def read_timeseries(path) -> TimeSeries:
@@ -134,20 +160,16 @@ def write_fit_report(result: FitResult, data: FrfDataset, path) -> None:
     a parameter file for :func:`read_params`.
     """
     report = residual_report(result, data)
+    names = [field.name for field in dataclasses.fields(report)]
     params = dataclasses.asdict(result.params)
-    lines = [f"{name},{_fmt(value)}" for name, value in params.items()]
+    lines = [f"{name},{float(value)!r}" for name, value in params.items()]
     lines += [
-        f"objective,{_fmt(result.objective)}",
+        f"objective,{float(result.objective)!r}",
         f"converged,{str(result.converged).lower()}",
         f"iterations,{result.iterations}",
-        "frequency_hz,measured_db,measured_deg,model_db,model_deg,"
-        "residual_db,residual_deg",
+        ",".join(names),
     ]
-    columns = (
-        report.frequency_hz, report.measured_db, report.measured_deg,
-        report.model_db, report.model_deg, report.residual_db, report.residual_deg,
-    )
-    write_columns("\n".join(lines), columns, path)
+    write_columns("\n".join(lines), [getattr(report, name) for name in names], path)
 
 
 def read_params(path) -> FoJeffreysParams:

@@ -11,8 +11,9 @@ transfer-function kernel (Lubich's convolution quadrature)
     g = h^gamma * (lambda1 * h^(-beta) * w_beta + 1) * w_(-gamma)
         / (mu*lambda2 * h^(-alpha) * w_alpha + mu),
 
-whose division is a blocked triangular Toeplitz solve, O(n log^2 n) in all.
-Both x and tau carry zero history before t = 0.
+whose division is a blocked triangular Toeplitz solve, O(n log^2 n) in all;
+its history steps are circular convolutions whose wrap-around misses the
+samples they keep. Both x and tau carry zero history before t = 0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_triangular, toeplitz
 
 from .fractional import TimeSeries, _causal_convolve, gl_weights
@@ -125,23 +127,30 @@ class SimulationResult:
             raise ValueError("input and output must share step and length")
 
 
-def _toeplitz_solve(c: np.ndarray, y: np.ndarray, block=None) -> np.ndarray:
+def _toeplitz_solve(c, y, block=None, spectra=None) -> np.ndarray:
     """First ``len(y)`` coefficients of the power series y(z)/c(z).
 
-    Solves the first half, subtracts its history from the second half by FFT
-    convolution, then solves that; blocks of up to ``_SOLVE_BLOCK`` samples
-    by dense forward substitution, whose accuracy this keeps.
+    Solves the first m = n // 2 samples, subtracts their history from the rest
+    by a circular convolution of size ``next_fast_len(n)``, then solves that;
+    blocks of up to ``_SOLVE_BLOCK`` samples by dense forward substitution,
+    whose accuracy this keeps. The product of ``c[:size]`` and the m solved
+    samples spills past ``size`` only onto indices 0..m-2, so indices m..n-1
+    are exact. ``spectra`` keeps ``rfft(c[:size])`` per size for one solve.
     """
     if block is None:
         head = c[:_SOLVE_BLOCK]
         block = toeplitz(head, np.zeros(len(head)))
+        spectra = {}
     n = len(y)
     if n <= _SOLVE_BLOCK:
         return solve_triangular(block[:n, :n], y, lower=True, check_finite=False)
     m = n // 2
-    first = _toeplitz_solve(c, y[:m], block)
-    history = _causal_convolve(c[:n], np.concatenate([first, np.zeros(n - m)]))
-    return np.concatenate([first, _toeplitz_solve(c, y[m:] - history[m:], block)])
+    first = _toeplitz_solve(c, y[:m], block, spectra)
+    size = next_fast_len(n, real=True)
+    if size not in spectra:
+        spectra[size] = rfft(c[:size], size)
+    history = irfft(spectra[size] * rfft(first, size), size)[m:n]
+    return np.concatenate([first, _toeplitz_solve(c, y[m:] - history, block, spectra)])
 
 
 def generate_signal(spec: SignalSpec) -> TimeSeries:

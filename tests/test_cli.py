@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 import fojeffreys.cli
-from fojeffreys import SimulationResult, TimeSeries
+from fojeffreys import SignalSpec, SimulationResult, TimeSeries, generate_signal
 from fojeffreys.cli import main
-from fojeffreys.dataio import read_frf, read_params, read_timeseries, write_frf_rows
+from fojeffreys.dataio import (
+    read_frf,
+    read_params,
+    read_timeseries,
+    write_frf_rows,
+    write_timeseries,
+)
 
 from conftest import CYLINDER
 
@@ -205,6 +211,41 @@ class TestSimulate:
         )
         assert code == 2
         assert "area" in err
+
+
+    def test_files_share_time_column_bytes(self, tmp_path, capsys):
+        # 5001 rows span two write chunks.
+        code, _, _ = run(
+            capsys,
+            "simulate", *CYL_FLAGS,
+            "--signal", "slope", "--rate", "2",
+            "--duration", "5", "--step", "1e-3",
+            "--out-input", str(tmp_path / "tau.csv"),
+            "--out-output", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        tau_lines = (tmp_path / "tau.csv").read_bytes().splitlines()
+        x_lines = (tmp_path / "x.csv").read_bytes().splitlines()
+        assert len(tau_lines) == len(x_lines) == 5002
+        assert [t.split(b",")[0] for t in tau_lines[1:]] == [
+            x.split(b",")[0] for x in x_lines[1:]
+        ]
+        spec = SignalSpec(kind="slope", duration=5.0, step=1e-3, rate=2.0)
+        write_timeseries(generate_signal(spec), tmp_path / "expected.csv")
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "tau.csv").read_bytes() == expected
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "simulate", *CYL_FLAGS,
+            "--signal", "impulse", "--area", "1",
+            "--duration", "1", "--step", "1e-3",
+            "--out-input", str(tmp_path / "tau.csv"),
+            "--out-output", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestFit:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fojeffreys.dataio import (
     wrap_phase_deg,
     write_fit_report,
     write_frf,
+    _CHUNK_ROWS,
     write_columns,
     write_frf_rows,
     write_timeseries,
@@ -260,3 +262,70 @@ def test_write_columns_formats_shortest_round_trip(tmp_path):
     path = tmp_path / "cols.csv"
     write_columns("a,b", ([0.1, 1e-300], np.array([1.0 / 3.0, -2.0])), path)
     assert path.read_bytes() == b"a,b\n0.1,0.3333333333333333\n1e-300,-2.0\n"
+
+
+def reference_write_columns(header, columns, path):
+    """The earlier one-string writer, whose bytes the chunked writer keeps."""
+    rows = zip(*(map(repr, map(float, column)) for column in columns))
+    text = "\n".join([header, *map(",".join, rows)]) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+class TestChunkedWriter:
+    EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.0 / 3.0, 1e300, 12.345000000000001]
+
+    @pytest.mark.parametrize(
+        "n_rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("n_columns", [2, 7])
+    def test_bytes_match_one_string_writer(self, tmp_path, n_rows, n_columns):
+        rng = np.random.default_rng(n_rows + n_columns)
+        columns = [
+            rng.choice(self.EDGE_VALUES, n_rows) * rng.choice([1.0, 1e-3], n_rows)
+            for _ in range(n_columns)
+        ]
+        columns[0] = np.arange(n_rows) * 1e-3
+        columns[-1] = columns[-1].tolist()  # list input
+        header = ",".join(f"c{k}" for k in range(n_columns))
+        write_columns(header, columns, tmp_path / "chunked.csv")
+        reference_write_columns(header, columns, tmp_path / "reference.csv")
+        expected = (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "chunked.csv").read_bytes() == expected
+
+    def test_edge_values_verbatim(self, tmp_path):
+        values = np.array(self.EDGE_VALUES)
+        write_columns("a,b", (values, values.tolist()), tmp_path / "edge.csv")
+        rows = (tmp_path / "edge.csv").read_text().splitlines()[1:]
+        assert rows[:4] == ["-0.0,-0.0", "5e-324,5e-324", "1e+16,1e+16", "1e-05,1e-05"]
+
+    def test_shared_time_column_matches_single_writes(self, tmp_path):
+        n = _CHUNK_ROWS + 3
+        first = TimeSeries(step=1e-3, samples=np.sin(np.arange(n)))
+        second = TimeSeries(step=1e-3, samples=np.cos(np.arange(n)) * 1e-6)
+        write_timeseries(first, tmp_path / "a.csv", (second, tmp_path / "b.csv"))
+        write_timeseries(first, tmp_path / "a1.csv")
+        write_timeseries(second, tmp_path / "b1.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "a1.csv").read_bytes()
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "b1.csv").read_bytes()
+
+    def test_path_named_twice_keeps_last_series(self, tmp_path):
+        first = TimeSeries(step=0.5, samples=np.ones(5))
+        second = TimeSeries(step=0.5, samples=np.arange(5.0))
+        write_timeseries(first, tmp_path / "x.csv", (second, tmp_path / "." / "x.csv"))
+        np.testing.assert_array_equal(
+            read_timeseries(tmp_path / "x.csv").samples, second.samples
+        )
+
+    def test_mismatched_grids_rejected_before_writing(self, tmp_path):
+        first = TimeSeries(step=0.5, samples=np.ones(5))
+        with pytest.raises(ValueError, match="time step"):
+            write_timeseries(
+                first, tmp_path / "a.csv",
+                (TimeSeries(step=0.25, samples=np.ones(5)), tmp_path / "b.csv"),
+            )
+        with pytest.raises(ValueError, match="differ in length"):
+            write_timeseries(
+                first, tmp_path / "a.csv",
+                (TimeSeries(step=0.5, samples=np.ones(4)), tmp_path / "b.csv"),
+            )
+        assert not (tmp_path / "a.csv").exists()

@@ -1,9 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular, toeplitz
 
 from fojeffreys import (
     FoJeffreysParams,
@@ -14,9 +16,12 @@ from fojeffreys import (
     freq_response,
     generate_signal,
     impulse_final_value,
+    gl_weights,
     simulate,
     steady_state_sine_gain,
 )
+from fojeffreys.fractional import _causal_convolve
+from fojeffreys.simulate import _toeplitz_solve
 
 from conftest import CYLINDER
 
@@ -302,6 +307,51 @@ class TestSteadyStateSineGain:
     def test_too_coarse_step_rejected(self, cylinder_params):
         with pytest.raises(ValueError):
             steady_state_sine_gain(cylinder_params, 1.0, cycles=8, step=0.02)
+
+
+def kernel_system(alpha: float, n: int, h: float = 1e-3):
+    """Denominator and numerator series of the kernel, built as simulate does."""
+    params = FoJeffreysParams(**{**CYLINDER, "alpha": alpha, "beta": alpha})
+
+    def gl_operator(order, coefficient):
+        return coefficient * h ** (-order) * gl_weights(order, n - 1).weights
+
+    forcing = gl_operator(params.beta, params.lambda1)
+    forcing[0] += 1.0
+    lhs = gl_operator(params.alpha, params.mu * params.lambda2)
+    lhs[0] += params.mu
+    return lhs, _causal_convolve(forcing, gl_operator(-params.gamma, 1.0))
+
+
+class TestToeplitzSolve:
+    # n straddles the dense block (256) and splits into odd halves; a longer
+    # c is what the recursion's inner calls see.
+    @pytest.mark.parametrize("alpha", [0.7, 1.571, 1.95])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 4097])
+    @pytest.mark.parametrize("longer_c", [False, True])
+    def test_matches_dense_triangular_solve(self, alpha, n, longer_c):
+        c, y = kernel_system(alpha, 2 * n + 3 if longer_c else n)
+        y = y[:n]
+        dense = solve_triangular(toeplitz(c[:n], np.zeros(n)), y, lower=True)
+        x = _toeplitz_solve(c, y)
+        assert len(x) == n
+        assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
+def test_long_simulation_leaves_no_reference_cycles(cylinder_params):
+    # A recursion that closed over itself would leave garbage for the
+    # cycle collector on every call.
+    signal = generate_signal(
+        SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
+    )
+    simulate(cylinder_params, signal)
+    gc.collect()
+    gc.disable()
+    try:
+        simulate(cylinder_params, signal)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestLateTrend:
