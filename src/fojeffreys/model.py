@@ -37,6 +37,8 @@ def _require_positive(name: str, value: float) -> float:
 
 
 def _require_order(name: str, value: float) -> float:
+    # simulate's contour rule relies on every order lying in (0, 2): only then
+    # is G((1 - zeta)/h) analytic in the unit disc.
     value = float(value)
     if not math.isfinite(value) or not 0.0 < value < 2.0:
         raise ValueError(f"{name} must lie in the open interval (0, 2), got {value}")

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from fojeffreys import (
     steady_state_sine_gain,
 )
 from fojeffreys.fractional import _causal_convolve
-from fojeffreys.simulate import _toeplitz_solve
 
 from conftest import CYLINDER
 
@@ -224,7 +224,7 @@ def constrained_case(draw):
 class TestCausality:
     """The response at sample k depends only on tau[0..k], shifted with it.
 
-    Both properties fail if the FFT convolution wraps around or is padded
+    Both properties fail if the contour transforms wrap around or are padded
     too little.
     """
 
@@ -237,9 +237,9 @@ class TestCausality:
             step=tau.step, samples=np.concatenate([np.zeros(k), tau.samples])
         )
         got = simulate(params, delayed).output.samples
-        # The kernel is recomputed for the longer record, and its rounding is
-        # amplified by the stiffness lambda2 * h^-alpha of the displacement
-        # solve (the ratio of the two terms on its diagonal).
+        # The longer record is solved on another contour, and the rounding
+        # grows with the stiffness lambda2 * h^-alpha (the ratio of the two
+        # terms of G's denominator at s = 1/h).
         stiffness = params.lambda2 * tau.step ** (-params.alpha)
         tol = 1e-12 * max(1.0, stiffness / 10.0) * np.max(np.abs(x))
         np.testing.assert_allclose(got[:k], 0.0, rtol=0, atol=tol)
@@ -310,7 +310,10 @@ class TestSteadyStateSineGain:
 
 
 def kernel_system(alpha: float, n: int, h: float = 1e-3):
-    """Denominator and numerator series of the kernel, built as simulate does."""
+    """Denominator and numerator GL power series of the cylinder kernel.
+
+    The kernel g solves lhs * g = rhs as power series in the unit delay.
+    """
     params = FoJeffreysParams(**{**CYLINDER, "alpha": alpha, "beta": alpha})
 
     def gl_operator(order, coefficient):
@@ -324,18 +327,88 @@ def kernel_system(alpha: float, n: int, h: float = 1e-3):
 
 
 class TestToeplitzSolve:
-    # n straddles the dense block (256) and splits into odd halves; a longer
-    # c is what the recursion's inner calls see.
+    """The unit-impulse response against a dense triangular Toeplitz solve.
+
+    ``solve_triangular(toeplitz(lhs), rhs)`` divides the GL series directly,
+    without the contour. n = 4097 gives an odd transform size. A longer
+    record puts more nodes on a wider circle and must leave its first n
+    samples unchanged.
+    """
+
     @pytest.mark.parametrize("alpha", [0.7, 1.571, 1.95])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 4097])
-    @pytest.mark.parametrize("longer_c", [False, True])
-    def test_matches_dense_triangular_solve(self, alpha, n, longer_c):
-        c, y = kernel_system(alpha, 2 * n + 3 if longer_c else n)
-        y = y[:n]
-        dense = solve_triangular(toeplitz(c[:n], np.zeros(n)), y, lower=True)
-        x = _toeplitz_solve(c, y)
-        assert len(x) == n
+    @pytest.mark.parametrize("longer_record", [False, True])
+    def test_matches_dense_triangular_solve(self, alpha, n, longer_record):
+        h = 1e-3
+        c, y = kernel_system(alpha, n, h)
+        dense = solve_triangular(toeplitz(c, np.zeros(n)), y, lower=True)
+        impulse = np.zeros(2 * n + 3 if longer_record else n)
+        impulse[0] = 1.0 / h
+        params = FoJeffreysParams(**{**CYLINDER, "alpha": alpha, "beta": alpha})
+        x = simulate(params, TimeSeries(step=h, samples=impulse)).output.samples
+        x = h * x[:n]
         assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        FoJeffreysParams(**CYLINDER),
+        FoJeffreysParams(
+            mu=2.0, lambda1=0.3, lambda2=0.05, alpha=0.7, beta=1.4, gamma=1.3
+        ),
+    ],
+    ids=["cylinder", "unconstrained"],
+)
+@pytest.mark.parametrize(
+    "kind, magnitude", [("impulse", {"area": 1.0}), ("step", {"amplitude": 1.0})]
+)
+def test_first_order_convergence_in_step(params, kind, magnitude):
+    # GL is a first-order scheme: halving h halves the change at fixed t.
+    times = np.array([0.25, 0.5, 1.0, 2.0])
+    values = []
+    for h in (2e-3, 1e-3, 5e-4, 2.5e-4):
+        signal = generate_signal(
+            SignalSpec(kind=kind, duration=2.0, step=h, **magnitude)
+        )
+        output = simulate(params, signal).output.samples
+        values.append(output[np.rint(times / h).astype(int)])
+    changes = [np.max(np.abs(a - b)) for a, b in zip(values, values[1:])]
+    ratios = np.array(changes[:-1]) / np.array(changes[1:])
+    assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    constrained_case(),
+    st.floats(-1e3, 1e3, allow_subnormal=False),
+    st.floats(-1e3, 1e3, allow_subnormal=False),
+)
+def test_response_is_linear_in_the_input(case, a, b):
+    params, u, rng = case
+    v = TimeSeries(step=u.step, samples=rng.normal(size=len(u)))
+    x_u = simulate(params, u).output.samples
+    x_v = simulate(params, v).output.samples
+    combo = TimeSeries(step=u.step, samples=a * u.samples + b * v.samples)
+    got = simulate(params, combo).output.samples
+    scale = abs(a) * np.max(np.abs(x_u)) + abs(b) * np.max(np.abs(x_v))
+    np.testing.assert_allclose(got, a * x_u + b * x_v, rtol=0, atol=1e-12 * scale)
+
+
+def test_long_simulation_peak_memory(cylinder_params):
+    # G at all L/2 + 1 = 81k contour nodes at once would hold several complex
+    # temporaries of that length: an 11 MiB peak instead of about 3 MiB.
+    signal = generate_signal(
+        SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
+    )
+    simulate(cylinder_params, signal)
+    tracemalloc.start()
+    try:
+        simulate(cylinder_params, signal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_long_simulation_leaves_no_reference_cycles(cylinder_params):
