@@ -54,6 +54,9 @@ def wrap_phase_deg(phase_deg):
     """Wrap phase in degrees into the interval (-360, 0]."""
     phase = np.asarray(phase_deg, dtype=float)
     wrapped = phase - 360.0 * np.ceil(phase / 360.0)
+    # Below ~2.8e-14 degrees x - 360 rounds to -360, and for subnormal x the
+    # quotient x/360 underflows to 0 and leaves x > 0; 0 is nearest to both.
+    wrapped = np.where((wrapped <= -360.0) | (wrapped > 0.0), 0.0, wrapped)
     return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 

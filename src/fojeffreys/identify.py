@@ -259,6 +259,7 @@ def _lm_problem(data: FrfDataset, model_class: str):
     r = [dB residual minus its mean, degree residual] of ``_report`` at
     mu = 1; the centring projects out log mu. Both come from one ln G =
     log1p(w1) - log1p(w2) - ln(j omega) per theta, w_i = lambda_i (j omega)^alpha,
+    the logarithm of ``model._transfer`` at beta = alpha, gamma = 1, mu = 1,
     kept for the Jacobian that MINPACK takes where it has just taken r. For
     0 < alpha < 2, Im ln G lies in ``_report``'s branch, (-270, 90) degrees.
     With q_i = w_i / (1 + w_i), ln G has the derivatives q1 - q2, (1 - rho) q1
@@ -311,7 +312,8 @@ def _grid(data: FrfDataset, model_class: str) -> tuple[np.ndarray, np.ndarray]:
     rho [-3, 3] (7) and, for FO, logit(alpha/2) [-2.5, 2.5] (9). Costs are
     taken at most at 24 log-spaced points: on all 200 points of a sweep, the
     ranking costs more than the start saves. ln G = ln((1 + rho w) / (1 + w))
-    - ln(j omega), with w = lambda2 (j omega)^alpha = x + jy formed once for
+    - ln(j omega), the logarithm of ``model._transfer`` at beta = alpha,
+    gamma = 1, mu = 1, with w = lambda2 (j omega)^alpha = x + jy formed once for
     all rho, is taken in real arithmetic. For 0 < alpha < 2 both brackets lie
     in the upper half plane, so the argument of their quotient is continuous
     and needs no unwrapping; its branch is aligned at the first point.

@@ -7,7 +7,9 @@ The force-to-displacement transfer function is
 a four-parameter model once the physical constraints lambda2 > lambda1,
 alpha = beta and gamma = 1 are imposed. Classical reductions (dashpot,
 Zener standard linear solid, integer-order Jeffreys) are provided for
-comparison.
+comparison. ``_transfer`` is the one place this algebra is written: the
+frequency response, ``simulate``'s contour and the dashpot and integer
+Jeffreys reductions all form G through it, from their own powers s^p.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ def _require_order(name: str, value: float) -> float:
     return value
 
 
+def _set_checked(obj, check, *names: str) -> None:
+    """Replace each named field of a frozen dataclass by ``check(name, value)``."""
+    for name in names:
+        object.__setattr__(obj, name, check(name, getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class FoJeffreysParams:
     """Parameters of the fractional-order Jeffreys model.
@@ -74,12 +82,8 @@ class FoJeffreysParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _require_positive("mu", self.mu))
-        object.__setattr__(self, "lambda1", _require_positive("lambda1", self.lambda1))
-        object.__setattr__(self, "lambda2", _require_positive("lambda2", self.lambda2))
-        object.__setattr__(self, "alpha", _require_order("alpha", self.alpha))
-        object.__setattr__(self, "beta", _require_order("beta", self.beta))
-        object.__setattr__(self, "gamma", _require_order("gamma", self.gamma))
+        _set_checked(self, _require_positive, "mu", "lambda1", "lambda2")
+        _set_checked(self, _require_order, "alpha", "beta", "gamma")
 
 
 def validate(params: FoJeffreysParams, mode: str = "constrained") -> list[str]:
@@ -115,6 +119,14 @@ def _jw_pow(omega: np.ndarray, p: float) -> np.ndarray:
     return omega**p * complex(math.cos(half_pi_p), math.sin(half_pi_p))
 
 
+def _transfer(mu, lambda1, lambda2, z_alpha, z_beta, z_gamma):
+    """G = (lambda1 z_beta + 1) / (mu z_gamma (lambda2 z_alpha + 1)) from z_p = s^p.
+
+    The one place G's algebra lives; each caller evaluates the powers its own way.
+    """
+    return (lambda1 * z_beta + 1.0) / (mu * z_gamma * (lambda2 * z_alpha + 1.0))
+
+
 def _check_omega(omega) -> tuple[np.ndarray, bool]:
     w = np.asarray(omega, dtype=float)
     if w.size and not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails both
@@ -131,9 +143,9 @@ def freq_response(params: FoJeffreysParams, omega):
     w, scalar = _check_omega(omega)
     z_alpha = _jw_pow(w, params.alpha)
     z_beta = z_alpha if params.beta == params.alpha else _jw_pow(w, params.beta)
-    num = params.lambda1 * z_beta + 1.0
-    den = params.mu * _jw_pow(w, params.gamma) * (params.lambda2 * z_alpha + 1.0)
-    out = num / den
+    out = _transfer(
+        params.mu, params.lambda1, params.lambda2, z_alpha, z_beta, _jw_pow(w, params.gamma)
+    )
     return complex(out) if scalar else out
 
 
@@ -153,9 +165,7 @@ class DashpotParams:
     viscosity: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "viscosity", _require_positive("viscosity", self.viscosity)
-        )
+        _set_checked(self, _require_positive, "viscosity")
 
 
 @dataclass(frozen=True)
@@ -173,17 +183,7 @@ class ZenerParams:
     relaxation_rate: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modulus", _require_positive("modulus", self.modulus))
-        object.__setattr__(
-            self,
-            "retardation_rate",
-            _require_positive("retardation_rate", self.retardation_rate),
-        )
-        object.__setattr__(
-            self,
-            "relaxation_rate",
-            _require_positive("relaxation_rate", self.relaxation_rate),
-        )
+        _set_checked(self, _require_positive, "modulus", "retardation_rate", "relaxation_rate")
         if self.relaxation_rate < self.retardation_rate:
             raise ValueError(
                 "relaxation_rate must be >= retardation_rate "
@@ -207,20 +207,12 @@ class IntegerJeffreysParams:
     series_viscosity: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "stiffness", _require_positive("stiffness", self.stiffness)
-        )
+        _set_checked(self, _require_positive, "stiffness")
         pv = float(self.parallel_viscosity)
         if not math.isfinite(pv) or pv < 0.0:
-            raise ValueError(
-                f"parallel_viscosity must be finite and >= 0, got {pv}"
-            )
+            raise ValueError(f"parallel_viscosity must be finite and >= 0, got {pv}")
         object.__setattr__(self, "parallel_viscosity", pv)
-        object.__setattr__(
-            self,
-            "series_viscosity",
-            _require_positive("series_viscosity", self.series_viscosity),
-        )
+        _set_checked(self, _require_positive, "series_viscosity")
 
     @property
     def relaxation_time(self) -> float:
@@ -234,25 +226,25 @@ class IntegerJeffreysParams:
 def classical_freq_response(variant, omega):
     """Complex gain of a classical reduction at angular frequency ``omega``.
 
-    Dashpot: ``1 / (viscosity * j*omega)``.
+    Dashpot: ``1 / (viscosity * j*omega)``, G with lambda1 = lambda2 = 0.
     Zener (strain/stress): ``(j*omega/relaxation_rate + 1) /
     (modulus * (j*omega/retardation_rate + 1))``.
-    Integer Jeffreys (displacement/force):
-    ``(relaxation_time * j*omega + 1) /
-    (series_viscosity * j*omega * (retardation_time * j*omega + 1))``.
+    Integer Jeffreys (displacement/force): G at orders 1 with mu =
+    series_viscosity, lambda1 = relaxation_time, lambda2 = retardation_time.
     """
     w, scalar = _check_omega(omega)
     jw = 1j * w
     if isinstance(variant, DashpotParams):
-        out = 1.0 / (variant.viscosity * jw)
+        out = _transfer(variant.viscosity, 0.0, 0.0, jw, jw, jw)
     elif isinstance(variant, ZenerParams):
         out = (jw / variant.relaxation_rate + 1.0) / (
             variant.modulus * (jw / variant.retardation_rate + 1.0)
         )
     elif isinstance(variant, IntegerJeffreysParams):
-        num = variant.relaxation_time * jw + 1.0
-        den = variant.series_viscosity * jw * (variant.retardation_time * jw + 1.0)
-        out = num / den
+        out = _transfer(
+            variant.series_viscosity, variant.relaxation_time, variant.retardation_time,
+            jw, jw, jw,
+        )
     else:
         raise TypeError(f"unknown classical variant {type(variant).__name__}")
     return complex(out) if scalar else out

@@ -7,8 +7,8 @@ The model is integrated once to isolate the displacement dynamics,
 and discretized with Grunwald-Letnikov sums. GL is Lubich's convolution
 quadrature with delta(zeta) = 1 - zeta: the GL weights of order a are the
 power series of (1 - zeta)^a, so the sampled response x is the power series
-of G(delta(zeta)/h) * T(zeta), where G is the transfer function of
-``model.freq_response`` at complex s and T(zeta) = sum_k tau_k zeta^k.
+of G(delta(zeta)/h) * T(zeta), T(zeta) = sum_k tau_k zeta^k, where G at
+complex s comes from ``model._transfer``, the model's one formula for G.
 Both x and tau carry zero history before t = 0.
 
 The first n coefficients come from the trapezoidal rule on the circle
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .fractional import TimeSeries
-from .model import FoJeffreysParams
+from .model import FoJeffreysParams, _transfer
 
 __all__ = [
     "SignalSpec",
@@ -171,16 +171,11 @@ def _times_transfer(
         log_mod = 0.5 * np.log(re * re + im * im) - log_h
         arg = np.arctan2(im, re)
         s_alpha = _power(params.alpha, log_mod, arg)
-        s_beta = (
-            s_alpha
-            if params.beta == params.alpha
-            else _power(params.beta, log_mod, arg)
+        s_beta = s_alpha if params.beta == params.alpha else _power(params.beta, log_mod, arg)
+        s_gamma = _power(params.gamma, log_mod, arg)
+        spectrum[start:stop] *= _transfer(
+            params.mu, params.lambda1, params.lambda2, s_alpha, s_beta, s_gamma
         )
-        gain = (params.lambda1 * s_beta + 1.0) / (
-            params.mu * (params.lambda2 * s_alpha + 1.0)
-        )
-        gain *= _power(-params.gamma, log_mod, arg)
-        spectrum[start:stop] *= gain
 
 
 def generate_signal(spec: SignalSpec) -> TimeSeries:

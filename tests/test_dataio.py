@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fojeffreys import FitResult, FoJeffreysParams, TimeSeries, fit, FitConfig
 from fojeffreys.dataio import (
@@ -246,6 +248,57 @@ class TestWrapPhase:
         assert wrap_phase_deg(-360.0) == 0.0
         values = wrap_phase_deg(np.array([720.5, -725.0]))
         np.testing.assert_allclose(values, [-359.5, -5.0])
+
+    @pytest.mark.parametrize("phase", [1e-14, 5e-15, 1e-300, 5e-324])
+    def test_tiny_positive_phase_wraps_to_zero(self, phase):
+        # x - 360 * ceil(x / 360) rounds to -360 for these, or stays at x > 0
+        # where x / 360 underflows.
+        assert wrap_phase_deg(phase) == 0.0
+        assert wrap_phase_deg(np.array([phase, -90.0])).tolist() == [0.0, -90.0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-1e6, 1e6))
+    def test_wrap_is_in_range_and_congruent(self, phase):
+        wrapped = wrap_phase_deg(phase)
+        assert -360.0 < wrapped <= 0.0
+        turns = (phase - wrapped) / 360.0
+        assert abs(turns - round(turns)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=64),
+    st.floats(1e-6, 1e3),
+)
+def test_timeseries_round_trip_is_bit_exact(tmp_path_factory, samples, step):
+    path = tmp_path_factory.mktemp("series") / "s.csv"
+    series = TimeSeries(step=step, samples=samples)
+    write_timeseries(series, path)
+    back = read_timeseries(path)
+    assert back.step == series.step
+    assert back.samples.tobytes() == series.samples.tobytes()
+
+
+@st.composite
+def frf_rows(draw):
+    n = draw(st.integers(4, 32))
+    freqs = np.sort(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n, unique=True)))
+    db = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
+    deg = draw(st.lists(st.floats(-1e4, 1e4), min_size=n, max_size=n))
+    return freqs, np.array(db), np.array(deg)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(frf_rows())
+def test_frf_rows_round_trip(tmp_path_factory, rows):
+    freqs, db, deg = rows
+    path = tmp_path_factory.mktemp("frf") / "f.csv"
+    write_frf_rows(freqs, db, deg, path)
+    data = read_frf(path)
+    assert data.frequencies_hz.tobytes() == freqs.tobytes()
+    assert np.max(np.abs(data.magnitude_db - db)) <= 1e-12
+    turns = (data.phase_deg_unwrapped - deg) / 360.0
+    assert np.max(np.abs(turns - np.round(turns))) <= 1e-9
 
 
 def test_write_frf_rows_allows_short_sweeps(tmp_path):

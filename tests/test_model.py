@@ -108,6 +108,21 @@ class TestFreqResponse:
         for w, g in zip(omega, gains):
             assert g == freq_response(cylinder_params, float(w))
 
+    def test_unconstrained_values_pinned(self):
+        # Exact bits of G beyond alpha = beta, gamma = 1, where the report
+        # bytes pin nothing: a reordered evaluation of the formula shows here.
+        params = FoJeffreysParams(
+            mu=171e3, lambda1=0.05, lambda2=0.02, alpha=0.7, beta=1.4, gamma=1.3
+        )
+        assert freq_response(params, 3.0) == -3.519360501460906e-07 - 1.161839641242296e-06j
+        gains = freq_response(params, np.array([0.1, 1.0, 10.0, 100.0]))
+        assert gains.tolist() == [
+            -5.301526444067717e-05 - 0.00010355199458815815j,
+            -2.4344565774593304e-06 - 5.075357779131148e-06j,
+            2.0237134395852438e-07 - 2.119895013818554e-07j,
+            3.3977013482764954e-07 - 7.546938633082235e-08j,
+        ]
+
     @pytest.mark.parametrize(
         "omega",
         [0.0, -1.0, math.nan, math.inf, -math.inf]
@@ -212,6 +227,40 @@ class TestClassicalVariants:
             want = 1.0 / variant.stiffness + 1.0 / (variant.series_viscosity * s)
             got = classical_freq_response(variant, omega)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_values_pinned(self):
+        # Exact bits of the dashpot and integer-Jeffreys gains, Maxwell case
+        # (parallel_viscosity = 0) included.
+        omega = np.array([0.1, 1.0, 10.0, 100.0])
+        dashpot = classical_freq_response(DashpotParams(viscosity=3.7), omega)
+        assert dashpot.tolist() == [
+            -2.702702702702702j, -0.27027027027027023j,
+            -0.02702702702702703j, -0.002702702702702703j,
+        ]
+        jeffreys = IntegerJeffreysParams(
+            stiffness=47.0, parallel_viscosity=2.3, series_viscosity=31.0
+        )
+        assert classical_freq_response(jeffreys, 3.0) == (
+            0.020827701729585528 - 0.013810372042982163j
+        )
+        assert classical_freq_response(jeffreys, omega).tolist() == [
+            0.021276086235870583 - 0.3226847621790403j,
+            0.021225765369486383 - 0.03329677218314645j,
+            0.017165814463111762 - 0.011626098635688873j,
+            0.0008528552505035476 - 0.004496127615710566j,
+        ]
+        maxwell = IntegerJeffreysParams(
+            stiffness=47.0, parallel_viscosity=0.0, series_viscosity=31.0
+        )
+        assert classical_freq_response(maxwell, 3.0) == (
+            0.02127659574468085 - 0.010752688172043012j
+        )
+        assert classical_freq_response(maxwell, omega).tolist() == [
+            0.02127659574468085 - 0.3225806451612903j,
+            0.02127659574468085 - 0.03225806451612903j,
+            0.02127659574468085 - 0.0032258064516129032j,
+            0.02127659574468085 - 0.0003225806451612903j,
+        ]
 
     def test_rigid_spring_limit_recovers_dashpot(self):
         variant = IntegerJeffreysParams(

@@ -1,8 +1,13 @@
-"""simulate against the per-sample Grunwald-Letnikov recursion it replaced.
+"""simulate against two test-only oracles.
 
-``reference_simulate`` is the earlier O(n^2) solver, kept here verbatim as a
-test-only oracle: it differintegrates the force with direct convolutions and
-then solves for each displacement sample in closed form.
+``reference_simulate`` is the earlier O(n^2) solver, kept here verbatim: it
+differintegrates the force with direct convolutions and then solves for each
+displacement sample in closed form. It shares the Grunwald-Letnikov
+discretisation, so it cannot see the O(h) error of the scheme.
+
+``talbot_response`` is the exact response x = L^-1[G(s) tau_hat(s)] at one
+t > 0, by Talbot inversion on the Weideman-Trefethen contour (Math. Comp. 76,
+2007), independent of every discretisation in time.
 """
 
 import math
@@ -21,7 +26,17 @@ from fojeffreys import (
     simulate,
 )
 
+from fojeffreys.model import _transfer
+
 from conftest import CYLINDER
+
+# Weideman-Trefethen cotangent contour
+# z(theta) = (N/t) (SIGMA + MU theta cot(A theta) + i NU theta), -pi < theta < pi.
+TALBOT_SIGMA, TALBOT_MU, TALBOT_A, TALBOT_NU = -0.6122, 0.5017, 0.6407, 0.2645
+TALBOT_NODES = 48
+UNCONSTRAINED = FoJeffreysParams(
+    mu=2.0, lambda1=0.3, lambda2=0.05, alpha=0.7, beta=1.4, gamma=1.3
+)
 
 
 def _gl_apply(samples: np.ndarray, order: float, step: float) -> np.ndarray:
@@ -150,3 +165,93 @@ def test_overflow_index_is_first_non_finite_output_sample():
     with pytest.raises(SimulationDivergedError) as excinfo:
         reference_simulate(params, big)
     assert excinfo.value.sample_index == 0
+
+
+def _talbot_contour(t: float, nodes: int):
+    """Contour points z and dz/dtheta at the midpoints of N equal theta panels."""
+    theta = -math.pi + (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
+    cot = 1.0 / np.tan(TALBOT_A * theta)
+    scale = nodes / t
+    z = scale * (TALBOT_SIGMA + TALBOT_MU * theta * cot + 1j * TALBOT_NU * theta)
+    dz = scale * (
+        TALBOT_MU * (cot - TALBOT_A * theta / np.sin(TALBOT_A * theta) ** 2)
+        + 1j * TALBOT_NU
+    )
+    return z, dz
+
+
+def encloses_poles(params: FoJeffreysParams, t: float, nodes: int = TALBOT_NODES) -> bool:
+    """True unless G has poles right of the contour for this t.
+
+    For alpha > 1 the poles of 1/(1 + lambda2 s^alpha) sit on the principal
+    sheet at lambda2^(-1/alpha) exp(+-i pi/alpha); the contour must pass to
+    their right at their height. For alpha <= 1 they are off the sheet.
+    """
+    if params.alpha <= 1.0:
+        return True
+    angle = math.pi / params.alpha
+    radius = params.lambda2 ** (-1.0 / params.alpha)
+    theta = radius * math.sin(angle) * t / (nodes * TALBOT_NU)
+    if theta >= math.pi:  # the contour never reaches the poles' height
+        return False
+    re = (nodes / t) * (TALBOT_SIGMA + TALBOT_MU * theta / math.tan(TALBOT_A * theta))
+    return re > radius * math.cos(angle)
+
+
+def talbot_response(params: FoJeffreysParams, input_power: int, t: float) -> float:
+    """x(t) = L^-1[G(s) / s^input_power](t): impulse 0, unit step 1, unit ramp 2.
+
+    Midpoint rule in theta on the contour, with G from the model's one
+    formula and principal-branch powers exp(p ln s).
+    """
+    z, dz = _talbot_contour(t, TALBOT_NODES)
+    log_z = np.log(z)
+    z_alpha, z_beta, z_gamma = (
+        np.exp(p * log_z) for p in (params.alpha, params.beta, params.gamma)
+    )
+    gain = _transfer(params.mu, params.lambda1, params.lambda2, z_alpha, z_beta, z_gamma)
+    integrand = np.exp(z * t - input_power * log_z) * gain * dz
+    # (1 / 2 pi i) * sum * (2 pi / N); conjugate nodes make the sum real.
+    return float(np.sum(integrand).imag / TALBOT_NODES)
+
+
+def test_talbot_oracle_matches_reference_values():
+    # mu * x of the cylinder's unit-impulse response, from an arbitrary-
+    # precision de Hoog inversion (mpmath invertlaplace) of G.
+    params = _params()
+    expected = [1.0572215129, 1.2368650381, 0.9588861134, 1.0004174097]
+    for t, value in zip([0.25, 0.5, 1.0, 2.0], expected):
+        assert encloses_poles(params, t)
+        assert abs(params.mu * talbot_response(params, 0, t) - value) <= 1e-9
+
+
+def test_talbot_contour_misses_cylinder_poles_late():
+    # At N = 48 the contour crosses the poles' height (Im s = 6.37) at
+    # Re s = 1.4 for t = 2 s but at about -3.8, left of Re s = -2.91, for
+    # t = 4 s, where the oracle is off by about 8e-6.
+    assert encloses_poles(_params(), 2.0)
+    assert not encloses_poles(_params(), 4.0)
+
+
+@pytest.mark.parametrize("params", [_params(), UNCONSTRAINED], ids=["cylinder", "unconstrained"])
+@pytest.mark.parametrize(
+    "kind, magnitude, input_power",
+    [("impulse", "area", 0), ("step", "amplitude", 1), ("slope", "rate", 2)],
+)
+def test_first_order_error_against_talbot(params, kind, magnitude, input_power):
+    # GL is first order: at fixed t the error is below 5e-3 of the response
+    # at h = 1e-3 and halves with h. The scale is the oracle's peak over the
+    # checked times: the unconstrained impulse response is singular at
+    # t = 0, so the record's own peak grows as h shrinks.
+    times = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
+    assert all(encloses_poles(params, t) for t in times)
+    exact = np.array([talbot_response(params, input_power, t) for t in times])
+    errors = []
+    for h in (1e-3, 5e-4):
+        signal = generate_signal(
+            SignalSpec(kind=kind, duration=2.0, step=h, **{magnitude: 1.0})
+        )
+        x = simulate(params, signal).output.samples
+        errors.append(np.max(np.abs(x[np.rint(times / h).astype(int)] - exact)))
+    assert errors[0] < 5e-3 * np.max(np.abs(exact)), errors
+    assert 1.8 <= errors[0] / errors[1] <= 2.2, errors
