@@ -25,7 +25,6 @@ from fojeffreys import (
     gl_weights,
     simulate,
 )
-
 from fojeffreys.model import _transfer
 
 from conftest import CYLINDER
@@ -167,11 +166,11 @@ def test_overflow_index_is_first_non_finite_output_sample():
     assert excinfo.value.sample_index == 0
 
 
-def _talbot_contour(t: float, nodes: int):
+def _talbot_contour(t: float):
     """Contour points z and dz/dtheta at the midpoints of N equal theta panels."""
-    theta = -math.pi + (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
+    theta = -math.pi + (np.arange(TALBOT_NODES) + 0.5) * (2.0 * math.pi / TALBOT_NODES)
     cot = 1.0 / np.tan(TALBOT_A * theta)
-    scale = nodes / t
+    scale = TALBOT_NODES / t
     z = scale * (TALBOT_SIGMA + TALBOT_MU * theta * cot + 1j * TALBOT_NU * theta)
     dz = scale * (
         TALBOT_MU * (cot - TALBOT_A * theta / np.sin(TALBOT_A * theta) ** 2)
@@ -180,7 +179,7 @@ def _talbot_contour(t: float, nodes: int):
     return z, dz
 
 
-def encloses_poles(params: FoJeffreysParams, t: float, nodes: int = TALBOT_NODES) -> bool:
+def encloses_poles(params: FoJeffreysParams, t: float) -> bool:
     """True unless G has poles right of the contour for this t.
 
     For alpha > 1 the poles of 1/(1 + lambda2 s^alpha) sit on the principal
@@ -191,10 +190,10 @@ def encloses_poles(params: FoJeffreysParams, t: float, nodes: int = TALBOT_NODES
         return True
     angle = math.pi / params.alpha
     radius = params.lambda2 ** (-1.0 / params.alpha)
-    theta = radius * math.sin(angle) * t / (nodes * TALBOT_NU)
+    theta = radius * math.sin(angle) * t / (TALBOT_NODES * TALBOT_NU)
     if theta >= math.pi:  # the contour never reaches the poles' height
         return False
-    re = (nodes / t) * (TALBOT_SIGMA + TALBOT_MU * theta / math.tan(TALBOT_A * theta))
+    re = (TALBOT_NODES / t) * (TALBOT_SIGMA + TALBOT_MU * theta / math.tan(TALBOT_A * theta))
     return re > radius * math.cos(angle)
 
 
@@ -204,7 +203,7 @@ def talbot_response(params: FoJeffreysParams, input_power: int, t: float) -> flo
     Midpoint rule in theta on the contour, with G from the model's one
     formula and principal-branch powers exp(p ln s).
     """
-    z, dz = _talbot_contour(t, TALBOT_NODES)
+    z, dz = _talbot_contour(t)
     log_z = np.log(z)
     z_alpha, z_beta, z_gamma = (
         np.exp(p * log_z) for p in (params.alpha, params.beta, params.gamma)
