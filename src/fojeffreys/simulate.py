@@ -19,8 +19,11 @@ SIAM J. Sci. Stat. Comput. 6, 1985), one rfft/irfft pair of size L:
 
 with s_l = (1 - zeta_l)/h and zeta_l = rho * exp(-2*pi*i*l/L). Coefficient
 k + L aliases onto k with weight rho^L, and rounding in the transforms is
-amplified by up to rho^(-n). L = next_fast_len(4n) and rho^n = eps^(1/5)
-balance the two at about eps^(4/5).
+amplified by up to rho^(-n). rho^n = eps^(1/5) holds the rounding to about
+eps^(4/5); L = next_fast_len(5n) holds the weight rho^L to eps. The aliased
+coefficients lie past the record, where every input sample moves them, so a
+larger weight lets later inputs reach x_k: at a weight of eps^(4/5) (L = 4n)
+they move it by up to 1.2e-11 of max |x| on random inputs.
 
 The rule holds for every admitted parameter set: with orders in (0, 2),
 which ``model._require_order`` enforces, the poles of 1/(1 + lambda2*s^alpha)
@@ -227,7 +230,7 @@ def simulate(
     h = tau.step
     n = len(tau)
 
-    size = next_fast_len(4 * n, real=True)
+    size = next_fast_len(5 * n, real=True)
     log_rho = math.log(np.finfo(float).eps) / (5 * n)
     damping = np.exp(np.arange(n) * log_rho)  # rho^k
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,13 @@ from fojeffreys.dataio import (
     write_fit_report,
     write_frf,
     _CHUNK_ROWS,
+    _VECTOR_VALUES,
     write_columns,
     write_frf_rows,
     write_timeseries,
 )
+
+from fojeffreys._floatrepr import join_cells, repr_cells
 
 from conftest import make_synthetic_frf
 
@@ -279,6 +283,21 @@ def test_timeseries_round_trip_is_bit_exact(tmp_path_factory, samples, step):
     assert back.samples.tobytes() == series.samples.tobytes()
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64),
+    st.floats(1e-6, 1e3),
+)
+def test_long_timeseries_round_trip_is_bit_exact(tmp_path_factory, samples, step):
+    # 5000 samples take the writer's vector path; the drawn values repeat.
+    path = tmp_path_factory.mktemp("series") / "s.csv"
+    series = TimeSeries(step=step, samples=np.resize(samples, 5000))
+    write_timeseries(series, path)
+    back = read_timeseries(path)
+    assert back.step == series.step
+    assert back.samples.tobytes() == series.samples.tobytes()
+
+
 @st.composite
 def frf_rows(draw):
     n = draw(st.integers(4, 32))
@@ -324,11 +343,49 @@ def reference_write_columns(header, columns, path):
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def vector_repr(values) -> list[str]:
+    """The vector formatter's text for each value."""
+    return join_cells([repr_cells(values)]).decode().splitlines()
+
+
+class TestVectorRepr:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(), min_size=1, max_size=40),
+        st.sampled_from([1, _VECTOR_VALUES - 1, _VECTOR_VALUES]),
+    )
+    def test_matches_repr(self, tmp_path_factory, values, length):
+        # st.floats() draws nan, +-inf, +-0.0 and subnormals. The writer
+        # takes repr below _VECTOR_VALUES values and the vector path from it.
+        x = np.resize(np.array(values), length)
+        expected = [repr(v) for v in x.tolist()]
+        assert vector_repr(x) == expected
+        path = tmp_path_factory.mktemp("column") / "c.csv"
+        write_columns("v", [x], path)
+        assert path.read_text().splitlines() == ["v", *expected]
+
+    def test_matches_repr_over_every_exponent(self):
+        # Each biased exponent, 0 to 2047 (inf and nan), with mantissas 0, 1,
+        # 2^52 - 1 and 16 seeded draws, in both signs; then a constant 1.0 and
+        # a k/4 grid, dyadics that take Ryu's exact branch.
+        rng = np.random.default_rng(20)
+        exponents = np.arange(2048, dtype=np.uint64)[:, None] << np.uint64(52)
+        mantissas = np.concatenate(
+            [[[0, 1, 2**52 - 1]] * 2048, rng.integers(0, 2**52, (2048, 16))], axis=1
+        ).astype(np.uint64)
+        bits = (exponents | mantissas).ravel()
+        sweep = np.concatenate([bits, bits | np.uint64(2**63)]).view(float)
+        x = np.concatenate([sweep, np.ones(1000), np.arange(40000) * 0.25])
+        assert vector_repr(x) == [repr(v) for v in x.tolist()]
+
+
 class TestChunkedWriter:
     EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.0 / 3.0, 1e300, 12.345000000000001]
 
     @pytest.mark.parametrize(
-        "n_rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
+        "n_rows",
+        [0, 1, _VECTOR_VALUES // 2 - 1, _VECTOR_VALUES // 2, _VECTOR_VALUES,
+         _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1],
     )
     @pytest.mark.parametrize("n_columns", [2, 7])
     def test_bytes_match_one_string_writer(self, tmp_path, n_rows, n_columns):
@@ -344,6 +401,38 @@ class TestChunkedWriter:
         reference_write_columns(header, columns, tmp_path / "reference.csv")
         expected = (tmp_path / "reference.csv").read_bytes()
         assert (tmp_path / "chunked.csv").read_bytes() == expected
+
+    def test_repeated_columns_match_one_string_writer(self, tmp_path):
+        # A column that repeats one value, bit for bit, is formatted once.
+        # 0.0 == -0.0 although they print differently, and nan != nan.
+        n = _VECTOR_VALUES
+        columns = [
+            np.arange(n) * 1e-3,
+            np.ones(n),
+            np.full(n, -0.0),
+            np.resize([0.0, -0.0], n),
+            np.full(n, np.nan),
+            np.resize([np.nan, -np.nan], n),
+            np.full(n, -np.inf),
+        ]
+        write_columns("a,b,c,d,e,f,g", columns, tmp_path / "chunked.csv")
+        reference_write_columns("a,b,c,d,e,f,g", columns, tmp_path / "reference.csv")
+        expected = (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "chunked.csv").read_bytes() == expected
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # Per chunk the vector path holds a few dozen arrays of 3 * 4096
+        # values; what grows with n is the 8-byte time array.
+        rng = np.random.default_rng(5)
+        tau = TimeSeries(step=1e-3, samples=rng.standard_normal(40_001))
+        x = TimeSeries(step=1e-3, samples=rng.standard_normal(40_001))
+        tracemalloc.start()
+        try:
+            write_timeseries(tau, tmp_path / "tau.csv", (x, tmp_path / "x.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, peak
 
     def test_edge_values_verbatim(self, tmp_path):
         values = np.array(self.EDGE_VALUES)

@@ -254,3 +254,24 @@ def test_first_order_error_against_talbot(params, kind, magnitude, input_power):
         errors.append(np.max(np.abs(x[np.rint(times / h).astype(int)] - exact)))
     assert errors[0] < 5e-3 * np.max(np.abs(exact)), errors
     assert 1.8 <= errors[0] / errors[1] <= 2.2, errors
+
+
+def test_slope_response_meets_two_term_ramp_asymptote():
+    # For large t the ramp response r*t of the cylinder is the dashpot's
+    # r*t^2/(2 mu) lagged by the fractional term of G's expansion about
+    # s = 0: x_a = r/mu [t^2/2 - (lambda2 - lambda1) t^(2 - alpha)/Gamma(3 - alpha)].
+    # Over t in [2, 4] s the solver meets it to 2e-4 at h = 2e-4, and the
+    # error falls as h halves (toward the asymptote's own next term).
+    params = _params()
+    rate = 1000.0
+    errors = []
+    for h in (4e-4, 2e-4):
+        signal = generate_signal(SignalSpec(kind="slope", duration=4.0, step=h, rate=rate))
+        output = simulate(params, signal).output
+        t = output.times
+        late = t >= 2.0
+        lag = (params.lambda2 - params.lambda1) * t[late] ** (2.0 - params.alpha)
+        asymptote = rate / params.mu * (0.5 * t[late] ** 2 - lag / math.gamma(3.0 - params.alpha))
+        errors.append(float(np.max(np.abs(output.samples[late] / asymptote - 1.0))))
+    assert errors[1] <= 2e-4, errors
+    assert errors[1] < errors[0], errors
