@@ -23,6 +23,7 @@ from .model import FoJeffreysParams, freq_response, validate
 from .simulate import (
     SignalSpec,
     SimulationDivergedError,
+    _simulate_each,
     classify_late_trend,
     generate_signal,
     simulate,
@@ -193,8 +194,8 @@ def _cmd_impulse_study(args) -> int:
     limit = _DIVERGENCE_FACTOR * abs(spec.area) / base.mu
 
     columns = [signal.times]
-    for g in gammas:
-        result = simulate(replace(base, gamma=g), signal, divergence_limit=limit)
+    param_sets = [replace(base, gamma=g) for g in gammas]
+    for g, result in zip(gammas, _simulate_each(param_sets, signal, limit)):
         columns.append(result.output.samples)
         summary = {
             "gamma": g,

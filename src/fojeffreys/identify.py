@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .model import FoJeffreysParams, freq_response, validate
 
@@ -344,6 +343,12 @@ def _grid(data: FrfDataset, model_class: str) -> tuple[np.ndarray, np.ndarray]:
     costs = _DB_PER_NEPER**2 * np.einsum("ij,ij->i", r_mag, r_mag)
     costs += _DEG_PER_RAD**2 * np.einsum("ij,ij->i", r_arg, r_arg)
     return theta.reshape(-1, 2 + fo), costs.reshape(7, 16, -1).transpose(1, 0, 2).ravel()
+
+
+def leastsq(*args, **kwargs):
+    """``scipy.optimize.leastsq``, imported on the first fit: not at CLI start-up."""
+    from scipy.optimize import leastsq as solve
+    return solve(*args, **kwargs)
 
 
 def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:

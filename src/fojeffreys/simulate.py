@@ -17,7 +17,11 @@ SIAM J. Sci. Stat. Comput. 6, 1985), one rfft/irfft pair of size L:
 
     x_k = rho^(-k) * irfft(rfft(rho^k * tau_k, L) * G(s_l), L)_k,   k < n,
 
-with s_l = (1 - zeta_l)/h and zeta_l = rho * exp(-2*pi*i*l/L). Coefficient
+with s_l = (1 - zeta_l)/h and zeta_l = rho * exp(-2*pi*i*l/L). A delta
+input (tau_k = 0 for k > 0) skips the rfft: its spectrum is tau_0 at every
+node, which is also what the rfft gives in binary64. Parameter sets that
+differ only in gamma share one pass over the nodes (ln s, s^alpha, s^beta
+and the input spectrum); each adds s^gamma, G and one irfft. Coefficient
 k + L aliases onto k with weight rho^L, and rounding in the transforms is
 amplified by up to rho^(-n). rho^n = eps^(1/5) holds the rounding to about
 eps^(4/5); L = next_fast_len(5n) holds the weight rho^L to eps. The aliased
@@ -35,7 +39,8 @@ zeta = 1 lies outside the circle |zeta| = rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -152,16 +157,28 @@ def _power(p: float, log_mod: np.ndarray, arg: np.ndarray) -> np.ndarray:
     return out
 
 
+def _input_spectrum(u: np.ndarray, size: int) -> np.ndarray:
+    """rfft(u, size); a delta u = (u_0, 0, ..., 0) gives u_0 at every node."""
+    if u[1:].any():
+        return rfft(u, size)
+    return np.full(size // 2 + 1, u[0], dtype=complex)
+
+
 def _times_transfer(
-    spectrum: np.ndarray, params: FoJeffreysParams, h: float, log_rho: float, size: int
-) -> None:
-    """Multiply ``spectrum[l]`` in place by G(s_l), s_l = (1 - zeta_l)/h.
+    spectrum: np.ndarray, param_sets: Sequence[FoJeffreysParams], h: float,
+    log_rho: float, size: int,
+) -> list[np.ndarray]:
+    """``spectrum[l] * G(s_l)`` for each parameter set, s_l = (1 - zeta_l)/h.
 
     zeta_l = rho * exp(-i*phi_l) with phi_l = 2*pi*l/size. The nodes go in
     blocks of ``_NODE_CHUNK``; ln s is taken in real arithmetic, with
     |1 - zeta|^2 = (1 - rho)^2 + 4*rho*sin^2(phi/2) free of cancellation
-    near phi = 0.
+    near phi = 0. The sets differ only in gamma, so each block adds one
+    s^gamma and one G per set. The last set multiplies ``spectrum`` in
+    place, after the others have read the block.
     """
+    first = param_sets[0]
+    products = [np.empty_like(spectrum) for _ in param_sets[1:]] + [spectrum]
     rho = math.exp(log_rho)
     one_minus_rho = -math.expm1(log_rho)
     log_h = math.log(h)
@@ -173,12 +190,13 @@ def _times_transfer(
         im = rho * np.sin(phi)
         log_mod = 0.5 * np.log(re * re + im * im) - log_h
         arg = np.arctan2(im, re)
-        s_alpha = _power(params.alpha, log_mod, arg)
-        s_beta = s_alpha if params.beta == params.alpha else _power(params.beta, log_mod, arg)
-        s_gamma = _power(params.gamma, log_mod, arg)
-        spectrum[start:stop] *= _transfer(
-            params.mu, params.lambda1, params.lambda2, s_alpha, s_beta, s_gamma
-        )
+        s_alpha = _power(first.alpha, log_mod, arg)
+        s_beta = s_alpha if first.beta == first.alpha else _power(first.beta, log_mod, arg)
+        for params, product in zip(param_sets, products):
+            s_gamma = _power(params.gamma, log_mod, arg)
+            gain = _transfer(first.mu, first.lambda1, first.lambda2, s_alpha, s_beta, s_gamma)
+            np.multiply(spectrum[start:stop], gain, out=product[start:stop])
+    return products
 
 
 def generate_signal(spec: SignalSpec) -> TimeSeries:
@@ -224,8 +242,24 @@ def simulate(
         At the first output sample that is not a finite double, or else the
         first one beyond ``divergence_limit``.
     """
+    return next(_simulate_each((params,), input_series, divergence_limit))
+
+
+def _simulate_each(
+    param_sets: Sequence[FoJeffreysParams], input_series: TimeSeries,
+    divergence_limit: float | None = None,
+) -> Iterator[SimulationResult]:
+    """Yield ``simulate(p, input_series, divergence_limit)`` for each set p.
+
+    The sets may differ only in gamma, and share one pass over the contour
+    nodes; each result has the bits of its own ``simulate`` call. A set that
+    diverges raises when its turn comes, after the sets before it.
+    """
     if not isinstance(input_series, TimeSeries):
         raise TypeError("simulate expects a TimeSeries input")
+    first = param_sets[0]
+    if any(replace(p, gamma=first.gamma) != first for p in param_sets[1:]):
+        raise ValueError("parameter sets of one pass may differ only in gamma")
     tau = input_series
     h = tau.step
     n = len(tau)
@@ -237,24 +271,24 @@ def simulate(
     # The transforms run on the input scaled to unit peak, so overflow can
     # only arise in the final elementwise product, at the samples it hits.
     scale = float(np.max(np.abs(tau.samples))) or 1.0
-    spectrum = rfft(tau.samples / scale * damping, size)
-    _times_transfer(spectrum, params, h, log_rho, size)
+    spectrum = _input_spectrum(tau.samples / scale * damping, size)
+    products = _times_transfer(spectrum, param_sets, h, log_rho, size)
     limit = math.inf if divergence_limit is None else divergence_limit
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = irfft(spectrum, size)[:n] / damping
-        x *= scale
-        bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > limit))
-    if bad.size:
-        k = int(bad[0])
-        if not math.isfinite(x[k]):
-            raise SimulationDivergedError(k)
-        raise SimulationDivergedError(
-            k, f"output magnitude exceeded {divergence_limit:g} at sample index {k}"
+    for params in param_sets:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = irfft(products.pop(0), size)[:n] / damping  # frees each product in turn
+            x *= scale
+            bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > limit))
+        if bad.size:
+            k = int(bad[0])
+            if not math.isfinite(x[k]):
+                raise SimulationDivergedError(k)
+            raise SimulationDivergedError(
+                k, f"output magnitude exceeded {divergence_limit:g} at sample index {k}"
+            )
+        yield SimulationResult(
+            input=tau, output=TimeSeries(step=h, samples=x), params=params
         )
-
-    return SimulationResult(
-        input=tau, output=TimeSeries(step=h, samples=x), params=params
-    )
 
 
 def impulse_final_value(params: FoJeffreysParams, area: float) -> float:

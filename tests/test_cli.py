@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,13 +442,14 @@ class TestImpulseStudy:
     def test_file_bytes_pinned(self, tmp_path, capsys, monkeypatch):
         # A stand-in solver with fixed outputs isolates the file format from
         # the solver's rounding.
-        def fake_simulate(params, signal, divergence_limit=None):
+        def fake_simulate_each(param_sets, signal, divergence_limit=None):
             k = np.arange(len(signal))
-            samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
-            output = TimeSeries(step=signal.step, samples=samples)
-            return SimulationResult(signal, output, params)
+            for params in param_sets:
+                samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
+                output = TimeSeries(step=signal.step, samples=samples)
+                yield SimulationResult(signal, output, params)
 
-        monkeypatch.setattr(fojeffreys.cli, "simulate", fake_simulate)
+        monkeypatch.setattr(fojeffreys.cli, "_simulate_each", fake_simulate_each)
         out_file = tmp_path / "study.csv"
         code, _, _ = run(
             capsys,
@@ -468,6 +473,23 @@ class TestImpulseStudy:
             b"0.09,1.6149,2.2815666666666665\n"
             b"0.1,1.5900000000000003,2.323333333333334\n"
         )
+
+    def test_divergence_after_earlier_summaries(self, tmp_path, capsys):
+        # gamma = 0.9 stays bounded and is reported; gamma = 1.99 passes the
+        # limit at the second sample, so the command exits 3 and writes no file.
+        out_file = tmp_path / "study.csv"
+        code, out, err = run(
+            capsys,
+            "impulse-study",
+            "--mu", "1", "--lambda1", "0.01", "--lambda2", "0.05", "--alpha", "1.2",
+            "--gammas", "0.9,1.99",
+            "--area", "1", "--duration", "1e13", "--step", "1e12",
+            "--out", str(out_file),
+        )
+        assert code == 3
+        assert [json.loads(line)["gamma"] for line in out.splitlines()] == [0.9]
+        assert err == "divergence: output magnitude exceeded 1e+12 at sample index 1\n"
+        assert not out_file.exists()
 
     def test_out_of_bounds_gamma(self, tmp_path, capsys):
         code, _, err = run(
@@ -544,6 +566,19 @@ def test_option_strings_per_subcommand():
             "--gammas", "--area", "--duration", "--step", "--out",
         },
     }
+
+
+def test_start_up_leaves_scipy_optimize_unloaded():
+    # Only fit needs the least-squares solver, and its import took about
+    # 0.35 s of the CLI's 0.8 s cold start-up.
+    src = str(Path(fojeffreys.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, fojeffreys.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):

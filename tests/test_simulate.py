@@ -1,11 +1,14 @@
 import gc
+import importlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len, rfft
 from scipy.linalg import solve_triangular, toeplitz
 
 from fojeffreys import (
@@ -24,6 +27,9 @@ from fojeffreys import (
 from fojeffreys.fractional import _causal_convolve
 
 from conftest import CYLINDER
+
+# The package exports the function under the module's name.
+simulate_module = importlib.import_module("fojeffreys.simulate")
 
 
 def cylinder_with_gamma(gamma: float) -> FoJeffreysParams:
@@ -221,6 +227,25 @@ def constrained_case(draw):
     return params, TimeSeries(step=step, samples=rng.normal(size=n)), rng
 
 
+def random_params(rng, constrained: bool = True) -> FoJeffreysParams:
+    """Seeded parameters with gamma = 1, from ``constrained_case``'s ranges;
+    unconstrained: beta != alpha and lambda1 up to 3 * lambda2."""
+    lambda2 = 10.0 ** rng.uniform(-3.0, 0.0)
+    alpha = rng.uniform(0.1, 1.9)
+    if constrained:
+        lambda1, beta = lambda2 * rng.uniform(0.01, 0.99), alpha
+    else:
+        lambda1, beta = lambda2 * rng.uniform(0.01, 3.0), rng.uniform(0.1, 1.9)
+    return FoJeffreysParams(
+        mu=10.0 ** rng.uniform(-3.0, 6.0),
+        lambda1=lambda1,
+        lambda2=lambda2,
+        alpha=alpha,
+        beta=beta,
+        gamma=1.0,
+    )
+
+
 class TestCausality:
     """The response at sample k depends only on tau[0..k], shifted with it.
 
@@ -245,6 +270,26 @@ class TestCausality:
         np.testing.assert_allclose(got[:k], 0.0, rtol=0, atol=tol)
         np.testing.assert_allclose(got[k:], x, rtol=0, atol=tol)
 
+    def test_prepended_zeros_seeded_sweep(self):
+        # The property above on seeded draws from the same ranges, which do
+        # not move when the package's literals change Hypothesis's draws.
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(150):
+            params = random_params(rng)
+            n, k = int(rng.integers(2, 2001)), int(rng.integers(1, 501))
+            tau = TimeSeries(step=10.0 ** rng.uniform(-4.0, -1.0), samples=rng.normal(size=n))
+            x = simulate(params, tau).output.samples
+            delayed = TimeSeries(
+                step=tau.step, samples=np.concatenate([np.zeros(k), tau.samples])
+            )
+            got = simulate(params, delayed).output.samples
+            stiffness = params.lambda2 * tau.step ** (-params.alpha)
+            tol = 1e-12 * max(1.0, stiffness / 10.0) * np.max(np.abs(x))
+            error = max(np.max(np.abs(got[:k])), np.max(np.abs(got[k:] - x)))
+            worst = max(worst, error / tol)
+        assert worst <= 1.0, worst
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(constrained_case(), st.floats(0.0, 1.0))
     def test_later_input_leaves_earlier_output(self, case, fraction):
@@ -257,6 +302,70 @@ class TestCausality:
         np.testing.assert_allclose(
             got[:j], x[:j], rtol=0, atol=1e-12 * np.max(np.abs(x))
         )
+
+
+class TestSimulateEach:
+    """One contour pass for parameter sets that differ only in gamma."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_simulate_per_set_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        # Even seeds constrained, odd ones not; 1-4 sets; every third input
+        # an impulse.
+        base = random_params(rng, constrained=seed % 2 == 0)
+        param_sets = [replace(base, gamma=g) for g in rng.uniform(0.05, 1.95, 1 + seed % 4)]
+        n = int(rng.integers(2, 3000))
+        samples = rng.normal(size=n)
+        if seed % 3 == 0:
+            samples[1:] = 0.0
+        tau = TimeSeries(step=10.0 ** rng.uniform(-4.0, -1.0), samples=samples)
+        results = list(simulate_module._simulate_each(param_sets, tau))
+        assert [r.params for r in results] == param_sets
+        for params, result in zip(param_sets, results):
+            alone = simulate(params, tau).output.samples
+            assert result.output.samples.tobytes() == alone.tobytes()
+
+    def test_sets_must_differ_only_in_gamma(self, cylinder_params):
+        tau = TimeSeries(step=1e-3, samples=np.ones(10))
+        sets = [cylinder_params, replace(cylinder_params, gamma=0.5, mu=1.0)]
+        with pytest.raises(ValueError, match="only in gamma"):
+            next(simulate_module._simulate_each(sets, tau))
+
+    def test_divergent_set_raises_in_its_turn(self):
+        base = FoJeffreysParams(
+            mu=1.0, lambda1=0.01, lambda2=0.05, alpha=1.2, beta=1.2, gamma=1.0
+        )
+        signal = generate_signal(
+            SignalSpec(kind="impulse", duration=1e13, step=1e12, area=1.0)
+        )
+        sets = [replace(base, gamma=0.9), replace(base, gamma=1.99)]
+        results = simulate_module._simulate_each(sets, signal, 1e12)
+        assert next(results).params.gamma == 0.9
+        with pytest.raises(SimulationDivergedError) as info:
+            next(results)
+        assert info.value.sample_index == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 2501])
+    @pytest.mark.parametrize(
+        "first, later",
+        [(2.5, 0.0), (-0.75, 0.0), (0.0, 0.0), (3.0, -0.0)],
+        ids=["delta", "negative", "all-zero", "minus-zero-tail"],
+    )
+    def test_delta_spectrum_is_the_rfft(self, monkeypatch, cylinder_params, n, first, later):
+        samples = np.full(n, later)
+        samples[0] = first
+        u = samples / (abs(first) or 1.0)
+        size = next_fast_len(5 * n, real=True)
+        np.testing.assert_array_equal(simulate_module._input_spectrum(u, size), rfft(u, size))
+
+        def no_rfft(*args):
+            raise AssertionError("a delta input needs no rfft")
+
+        tau = TimeSeries(step=1e-3, samples=samples)
+        monkeypatch.setattr(simulate_module, "rfft", no_rfft)
+        got = simulate(cylinder_params, tau).output.samples
+        monkeypatch.setattr(simulate_module, "_input_spectrum", rfft)
+        assert got.tobytes() == simulate(cylinder_params, tau).output.samples.tobytes()
 
 
 class TestImpulseFinalValue:
@@ -409,6 +518,24 @@ def test_long_simulation_peak_memory(cylinder_params):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * 2**20
+
+
+def test_three_gamma_pass_peak_memory(cylinder_params):
+    # Three products on L/2 + 1 = 101k nodes, the input spectrum serving as
+    # the last, plus one block's temporaries: about 6.5 MiB. A separate
+    # input spectrum held through the pass reads 7.7 MiB.
+    signal = generate_signal(
+        SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
+    )
+    sets = [replace(cylinder_params, gamma=g) for g in (0.9, 1.0, 1.1)]
+    list(simulate_module._simulate_each(sets, signal))
+    tracemalloc.start()
+    try:
+        list(simulate_module._simulate_each(sets, signal))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 2**20
 
 
 def test_long_simulation_leaves_no_reference_cycles(cylinder_params):
