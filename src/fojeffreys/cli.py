@@ -23,7 +23,7 @@ from .model import FoJeffreysParams, freq_response, validate
 from .simulate import (
     SignalSpec,
     SimulationDivergedError,
-    _simulate_each,
+    _sharing_nodes,
     classify_late_trend,
     generate_signal,
     simulate,
@@ -173,6 +173,7 @@ def _cmd_fit(args) -> int:
     return exit_code
 
 
+@_sharing_nodes()  # the orders' simulate calls share ln s and s^alpha
 def _cmd_impulse_study(args) -> int:
     try:
         gammas = [float(v) for v in args.gammas.split(",") if v.strip()]
@@ -194,8 +195,8 @@ def _cmd_impulse_study(args) -> int:
     limit = _DIVERGENCE_FACTOR * abs(spec.area) / base.mu
 
     columns = [signal.times]
-    param_sets = [replace(base, gamma=g) for g in gammas]
-    for g, result in zip(gammas, _simulate_each(param_sets, signal, limit)):
+    for g in gammas:
+        result = simulate(replace(base, gamma=g), signal, divergence_limit=limit)
         columns.append(result.output.samples)
         summary = {
             "gamma": g,

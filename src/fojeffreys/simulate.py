@@ -17,17 +17,19 @@ SIAM J. Sci. Stat. Comput. 6, 1985), one rfft/irfft pair of size L:
 
     x_k = rho^(-k) * irfft(rfft(rho^k * tau_k, L) * G(s_l), L)_k,   k < n,
 
-with s_l = (1 - zeta_l)/h and zeta_l = rho * exp(-2*pi*i*l/L). A delta
-input (tau_k = 0 for k > 0) skips the rfft: its spectrum is tau_0 at every
-node, which is also what the rfft gives in binary64. Parameter sets that
-differ only in gamma share one pass over the nodes (ln s, s^alpha, s^beta
-and the input spectrum); each adds s^gamma, G and one irfft. Coefficient
+with s_l = (1 - zeta_l)/h and zeta_l = rho * exp(-2*pi*i*l/L). Coefficient
 k + L aliases onto k with weight rho^L, and rounding in the transforms is
 amplified by up to rho^(-n). rho^n = eps^(1/5) holds the rounding to about
 eps^(4/5); L = next_fast_len(5n) holds the weight rho^L to eps. The aliased
 coefficients lie past the record, where every input sample moves them, so a
 larger weight lets later inputs reach x_k: at a weight of eps^(4/5) (L = 4n)
 they move it by up to 1.2e-11 of max |x| on random inputs.
+
+A delta input (tau_k = 0 for k > 0) skips the rfft: its spectrum is tau_0 at
+every node, which is also what the rfft gives in binary64. Inside
+``_sharing_nodes``, a call on the same grid with the same alpha and beta as
+the one before it reuses that call's ln s, s^alpha and s^beta, and adds only
+s^gamma, G and the transforms; ``impulse-study`` solves its orders so.
 
 The rule holds for every admitted parameter set: with orders in (0, 2),
 which ``model._require_order`` enforces, the poles of 1/(1 + lambda2*s^alpha)
@@ -39,8 +41,10 @@ zeta = 1 lies outside the circle |zeta| = rho.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -164,39 +168,70 @@ def _input_spectrum(u: np.ndarray, size: int) -> np.ndarray:
     return np.full(size // 2 + 1, u[0], dtype=complex)
 
 
-def _times_transfer(
-    spectrum: np.ndarray, param_sets: Sequence[FoJeffreysParams], h: float,
-    log_rho: float, size: int,
-) -> list[np.ndarray]:
-    """``spectrum[l] * G(s_l)`` for each parameter set, s_l = (1 - zeta_l)/h.
+def _node_blocks(
+    h: float, log_rho: float, size: int, alpha: float, beta: float
+) -> Iterator[tuple]:
+    """Yield (start, stop, ln|s|, arg s, s^alpha, s^beta) per block of nodes.
 
-    zeta_l = rho * exp(-i*phi_l) with phi_l = 2*pi*l/size. The nodes go in
-    blocks of ``_NODE_CHUNK``; ln s is taken in real arithmetic, with
-    |1 - zeta|^2 = (1 - rho)^2 + 4*rho*sin^2(phi/2) free of cancellation
-    near phi = 0. The sets differ only in gamma, so each block adds one
-    s^gamma and one G per set. The last set multiplies ``spectrum`` in
-    place, after the others have read the block.
+    s_l = (1 - zeta_l)/h, zeta_l = rho * exp(-i*phi_l) with phi_l = 2*pi*l/size.
+    The nodes go in blocks of ``_NODE_CHUNK``; ln s is taken in real
+    arithmetic, with |1 - zeta|^2 = (1 - rho)^2 + 4*rho*sin^2(phi/2) free of
+    cancellation near phi = 0.
     """
-    first = param_sets[0]
-    products = [np.empty_like(spectrum) for _ in param_sets[1:]] + [spectrum]
     rho = math.exp(log_rho)
     one_minus_rho = -math.expm1(log_rho)
     log_h = math.log(h)
-    for start in range(0, len(spectrum), _NODE_CHUNK):
-        stop = min(start + _NODE_CHUNK, len(spectrum))
+    nodes = size // 2 + 1
+    for start in range(0, nodes, _NODE_CHUNK):
+        stop = min(start + _NODE_CHUNK, nodes)
         phi = np.arange(start, stop) * (2.0 * math.pi / size)
         half = np.sin(0.5 * phi)
         re = one_minus_rho + 2.0 * rho * half * half
         im = rho * np.sin(phi)
         log_mod = 0.5 * np.log(re * re + im * im) - log_h
         arg = np.arctan2(im, re)
-        s_alpha = _power(first.alpha, log_mod, arg)
-        s_beta = s_alpha if first.beta == first.alpha else _power(first.beta, log_mod, arg)
-        for params, product in zip(param_sets, products):
-            s_gamma = _power(params.gamma, log_mod, arg)
-            gain = _transfer(first.mu, first.lambda1, first.lambda2, s_alpha, s_beta, s_gamma)
-            np.multiply(spectrum[start:stop], gain, out=product[start:stop])
-    return products
+        s_alpha = _power(alpha, log_mod, arg)
+        s_beta = s_alpha if beta == alpha else _power(beta, log_mod, arg)
+        yield start, stop, log_mod, arg, s_alpha, s_beta
+
+
+# The node blocks kept by ``_sharing_nodes``, keyed by _node_blocks' arguments.
+_shared_nodes: ContextVar[dict | None] = ContextVar("_shared_nodes", default=None)
+
+
+@contextmanager
+def _sharing_nodes() -> Iterator[None]:
+    """Let ``simulate`` calls in the block reuse the gamma-free node values.
+
+    A call on the same grid with the same alpha and beta as the call before
+    it skips ln s, s^alpha and s^beta; the results keep their bits. One
+    contour's values are held until the block ends, 32 bytes per node with
+    beta = alpha (80*n bytes for n samples), however many calls share them.
+    """
+    token = _shared_nodes.set({})
+    try:
+        yield
+    finally:
+        _shared_nodes.reset(token)
+
+
+def _times_transfer(
+    spectrum: np.ndarray, params: FoJeffreysParams, h: float, log_rho: float, size: int
+) -> None:
+    """Multiply ``spectrum[l]`` in place by G(s_l), s_l = (1 - zeta_l)/h."""
+    key = (h, log_rho, size, params.alpha, params.beta)
+    blocks = _node_blocks(*key)
+    shared = _shared_nodes.get()
+    if shared is not None:
+        if key not in shared:
+            shared.clear()
+            shared[key] = list(blocks)
+        blocks = shared[key]
+    for start, stop, log_mod, arg, s_alpha, s_beta in blocks:
+        s_gamma = _power(params.gamma, log_mod, arg)
+        spectrum[start:stop] *= _transfer(
+            params.mu, params.lambda1, params.lambda2, s_alpha, s_beta, s_gamma
+        )
 
 
 def generate_signal(spec: SignalSpec) -> TimeSeries:
@@ -242,24 +277,8 @@ def simulate(
         At the first output sample that is not a finite double, or else the
         first one beyond ``divergence_limit``.
     """
-    return next(_simulate_each((params,), input_series, divergence_limit))
-
-
-def _simulate_each(
-    param_sets: Sequence[FoJeffreysParams], input_series: TimeSeries,
-    divergence_limit: float | None = None,
-) -> Iterator[SimulationResult]:
-    """Yield ``simulate(p, input_series, divergence_limit)`` for each set p.
-
-    The sets may differ only in gamma, and share one pass over the contour
-    nodes; each result has the bits of its own ``simulate`` call. A set that
-    diverges raises when its turn comes, after the sets before it.
-    """
     if not isinstance(input_series, TimeSeries):
         raise TypeError("simulate expects a TimeSeries input")
-    first = param_sets[0]
-    if any(replace(p, gamma=first.gamma) != first for p in param_sets[1:]):
-        raise ValueError("parameter sets of one pass may differ only in gamma")
     tau = input_series
     h = tau.step
     n = len(tau)
@@ -272,23 +291,23 @@ def _simulate_each(
     # only arise in the final elementwise product, at the samples it hits.
     scale = float(np.max(np.abs(tau.samples))) or 1.0
     spectrum = _input_spectrum(tau.samples / scale * damping, size)
-    products = _times_transfer(spectrum, param_sets, h, log_rho, size)
+    _times_transfer(spectrum, params, h, log_rho, size)
     limit = math.inf if divergence_limit is None else divergence_limit
-    for params in param_sets:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = irfft(products.pop(0), size)[:n] / damping  # frees each product in turn
-            x *= scale
-            bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > limit))
-        if bad.size:
-            k = int(bad[0])
-            if not math.isfinite(x[k]):
-                raise SimulationDivergedError(k)
-            raise SimulationDivergedError(
-                k, f"output magnitude exceeded {divergence_limit:g} at sample index {k}"
-            )
-        yield SimulationResult(
-            input=tau, output=TimeSeries(step=h, samples=x), params=params
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = irfft(spectrum, size)[:n] / damping
+        x *= scale
+        bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > limit))
+    if bad.size:
+        k = int(bad[0])
+        if not math.isfinite(x[k]):
+            raise SimulationDivergedError(k)
+        raise SimulationDivergedError(
+            k, f"output magnitude exceeded {divergence_limit:g} at sample index {k}"
         )
+
+    return SimulationResult(
+        input=tau, output=TimeSeries(step=h, samples=x), params=params
+    )
 
 
 def impulse_final_value(params: FoJeffreysParams, area: float) -> float:

@@ -442,14 +442,13 @@ class TestImpulseStudy:
     def test_file_bytes_pinned(self, tmp_path, capsys, monkeypatch):
         # A stand-in solver with fixed outputs isolates the file format from
         # the solver's rounding.
-        def fake_simulate_each(param_sets, signal, divergence_limit=None):
+        def fake_simulate(params, signal, divergence_limit=None):
             k = np.arange(len(signal))
-            for params in param_sets:
-                samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
-                output = TimeSeries(step=signal.step, samples=samples)
-                yield SimulationResult(signal, output, params)
+            samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
+            output = TimeSeries(step=signal.step, samples=samples)
+            return SimulationResult(signal, output, params)
 
-        monkeypatch.setattr(fojeffreys.cli, "_simulate_each", fake_simulate_each)
+        monkeypatch.setattr(fojeffreys.cli, "simulate", fake_simulate)
         out_file = tmp_path / "study.csv"
         code, _, _ = run(
             capsys,

@@ -304,11 +304,17 @@ class TestCausality:
         )
 
 
-class TestSimulateEach:
-    """One contour pass for parameter sets that differ only in gamma."""
+def simulate_each(param_sets, tau):
+    """The outputs of ``simulate`` for each set, inside one ``_sharing_nodes``."""
+    with simulate_module._sharing_nodes():
+        return [simulate(params, tau).output.samples for params in param_sets]
+
+
+class TestSharedNodes:
+    """simulate calls inside ``_sharing_nodes`` reuse ln s, s^alpha and s^beta."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_matches_simulate_per_set_bit_for_bit(self, seed):
+    def test_matches_simulate_bit_for_bit(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         # Even seeds constrained, odd ones not; 1-4 sets; every third input
         # an impulse.
@@ -319,31 +325,52 @@ class TestSimulateEach:
         if seed % 3 == 0:
             samples[1:] = 0.0
         tau = TimeSeries(step=10.0 ** rng.uniform(-4.0, -1.0), samples=samples)
-        results = list(simulate_module._simulate_each(param_sets, tau))
-        assert [r.params for r in results] == param_sets
-        for params, result in zip(param_sets, results):
-            alone = simulate(params, tau).output.samples
-            assert result.output.samples.tobytes() == alone.tobytes()
+        alone = [simulate(params, tau).output.samples for params in param_sets]
 
-    def test_sets_must_differ_only_in_gamma(self, cylinder_params):
+        powers = []
+        power = simulate_module._power
+        monkeypatch.setattr(
+            simulate_module, "_power", lambda p, *a: powers.append(p) or power(p, *a)
+        )
+        shared = simulate_each(param_sets, tau)
+        assert [x.tobytes() for x in shared] == [x.tobytes() for x in alone]
+        # Only the first call takes s^alpha (and s^beta); each takes its s^gamma.
+        blocks = -(-(next_fast_len(5 * n, real=True) // 2 + 1) // simulate_module._NODE_CHUNK)
+        orders = {base.alpha, base.beta} | {p.gamma for p in param_sets}
+        assert len(powers) == blocks * (len(param_sets) + len({base.alpha, base.beta}))
+        assert set(powers) == orders
+
+    def test_nodes_follow_the_grid_and_orders(self, cylinder_params):
+        # Each call changes one of step, length, alpha and beta from the call
+        # before, and takes its own nodes; the last but one changes only gamma,
+        # mu and lambda1, and the last returns to the first contour.
+        rng = np.random.default_rng(7)
+        tau = TimeSeries(step=1e-3, samples=rng.normal(size=500))
+        shorter = TimeSeries(step=1e-3, samples=tau.samples[:499])
+        other_alpha = replace(cylinder_params, alpha=0.6)
+        other_beta = replace(other_alpha, beta=0.6)
+        cases = [
+            (cylinder_params, tau),
+            (cylinder_params, TimeSeries(step=2e-3, samples=tau.samples)),
+            (cylinder_params, shorter),
+            (other_alpha, shorter),
+            (other_beta, shorter),
+            (replace(other_beta, gamma=0.7, mu=1e3, lambda1=1e-4), shorter),
+            (cylinder_params, tau),
+        ]
+        with simulate_module._sharing_nodes():
+            shared = [simulate(params, series).output.samples for params, series in cases]
+        alone = [simulate(params, series).output.samples for params, series in cases]
+        assert [x.tobytes() for x in shared] == [x.tobytes() for x in alone]
+
+    def test_nodes_are_dropped_when_the_block_ends(self, cylinder_params):
         tau = TimeSeries(step=1e-3, samples=np.ones(10))
-        sets = [cylinder_params, replace(cylinder_params, gamma=0.5, mu=1.0)]
-        with pytest.raises(ValueError, match="only in gamma"):
-            next(simulate_module._simulate_each(sets, tau))
-
-    def test_divergent_set_raises_in_its_turn(self):
-        base = FoJeffreysParams(
-            mu=1.0, lambda1=0.01, lambda2=0.05, alpha=1.2, beta=1.2, gamma=1.0
-        )
-        signal = generate_signal(
-            SignalSpec(kind="impulse", duration=1e13, step=1e12, area=1.0)
-        )
-        sets = [replace(base, gamma=0.9), replace(base, gamma=1.99)]
-        results = simulate_module._simulate_each(sets, signal, 1e12)
-        assert next(results).params.gamma == 0.9
-        with pytest.raises(SimulationDivergedError) as info:
-            next(results)
-        assert info.value.sample_index == 1
+        with pytest.raises(RuntimeError):
+            with simulate_module._sharing_nodes():
+                simulate(cylinder_params, tau)
+                assert len(simulate_module._shared_nodes.get()) == 1
+                raise RuntimeError
+        assert simulate_module._shared_nodes.get() is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 2501])
     @pytest.mark.parametrize(
@@ -520,22 +547,28 @@ def test_long_simulation_peak_memory(cylinder_params):
     assert peak <= 5 * 2**20
 
 
-def test_three_gamma_pass_peak_memory(cylinder_params):
-    # Three products on L/2 + 1 = 101k nodes, the input spectrum serving as
-    # the last, plus one block's temporaries: about 6.5 MiB. A separate
-    # input spectrum held through the pass reads 7.7 MiB.
+def test_shared_nodes_peak_memory_does_not_grow_with_the_calls(cylinder_params):
+    # One contour's ln|s|, arg s and s^alpha on L/2 + 1 = 100k nodes (3.05 MiB)
+    # next to one call's own peak: about 6.8 MiB, for 2 calls as for 8. The
+    # outputs are dropped, so only the solver's memory counts.
     signal = generate_signal(
         SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
     )
-    sets = [replace(cylinder_params, gamma=g) for g in (0.9, 1.0, 1.1)]
-    list(simulate_module._simulate_each(sets, signal))
-    tracemalloc.start()
-    try:
-        list(simulate_module._simulate_each(sets, signal))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7.5 * 2**20
+
+    def peak(calls: int) -> int:
+        tracemalloc.start()
+        try:
+            with simulate_module._sharing_nodes():
+                for g in np.linspace(0.5, 1.5, calls):
+                    simulate(replace(cylinder_params, gamma=g), signal)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)
+    two, eight = peak(2), peak(8)
+    assert two <= 7.5 * 2**20
+    assert eight <= two + 2**16
 
 
 def test_long_simulation_leaves_no_reference_cycles(cylinder_params):
