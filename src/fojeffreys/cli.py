@@ -173,7 +173,6 @@ def _cmd_fit(args) -> int:
     return exit_code
 
 
-@_sharing_nodes()  # the orders' simulate calls share ln s and s^alpha
 def _cmd_impulse_study(args) -> int:
     try:
         gammas = [float(v) for v in args.gammas.split(",") if v.strip()]
@@ -195,15 +194,16 @@ def _cmd_impulse_study(args) -> int:
     limit = _DIVERGENCE_FACTOR * abs(spec.area) / base.mu
 
     columns = [signal.times]
-    for g in gammas:
-        result = simulate(replace(base, gamma=g), signal, divergence_limit=limit)
-        columns.append(result.output.samples)
-        summary = {
-            "gamma": g,
-            "final_value": float(result.output.samples[-1]),
-            "late_trend": classify_late_trend(result.output),
-        }
-        print(json.dumps(summary, sort_keys=True))
+    with _sharing_nodes():  # the orders share one contour's ln s and s^alpha
+        for g in gammas:
+            result = simulate(replace(base, gamma=g), signal, divergence_limit=limit)
+            columns.append(result.output.samples)
+            summary = {
+                "gamma": g,
+                "final_value": float(result.output.samples[-1]),
+                "late_trend": classify_late_trend(result.output),
+            }
+            print(json.dumps(summary, sort_keys=True))
 
     header = "time_s," + ",".join(f"x_gamma_{g:g}" for g in gammas)
     dataio.write_columns(header, columns, args.out)

@@ -205,8 +205,8 @@ def _sharing_nodes() -> Iterator[None]:
 
     A call on the same grid with the same alpha and beta as the call before
     it skips ln s, s^alpha and s^beta; the results keep their bits. One
-    contour's values are held until the block ends, 32 bytes per node with
-    beta = alpha (80*n bytes for n samples), however many calls share them.
+    contour's values are held until the block ends, however many calls
+    share them: 32 bytes per node with beta = alpha, about 80*n bytes.
     """
     token = _shared_nodes.set({})
     try:
