@@ -304,12 +304,6 @@ class TestCausality:
         )
 
 
-def simulate_each(param_sets, tau):
-    """The outputs of ``simulate`` for each set, inside one ``_sharing_nodes``."""
-    with simulate_module._sharing_nodes():
-        return [simulate(params, tau).output.samples for params in param_sets]
-
-
 class TestSharedNodes:
     """simulate calls inside ``_sharing_nodes`` reuse ln s, s^alpha and s^beta."""
 
@@ -332,13 +326,13 @@ class TestSharedNodes:
         monkeypatch.setattr(
             simulate_module, "_power", lambda p, *a: powers.append(p) or power(p, *a)
         )
-        shared = simulate_each(param_sets, tau)
+        with simulate_module._sharing_nodes():
+            shared = [simulate(params, tau).output.samples for params in param_sets]
         assert [x.tobytes() for x in shared] == [x.tobytes() for x in alone]
         # Only the first call takes s^alpha (and s^beta); each takes its s^gamma.
         blocks = -(-(next_fast_len(5 * n, real=True) // 2 + 1) // simulate_module._NODE_CHUNK)
-        orders = {base.alpha, base.beta} | {p.gamma for p in param_sets}
         assert len(powers) == blocks * (len(param_sets) + len({base.alpha, base.beta}))
-        assert set(powers) == orders
+        assert set(powers) == {base.alpha, base.beta} | {p.gamma for p in param_sets}
 
     def test_nodes_follow_the_grid_and_orders(self, cylinder_params):
         # Each call changes one of step, length, alpha and beta from the call
