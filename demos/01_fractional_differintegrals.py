@@ -11,9 +11,9 @@ from scipy.special import gamma as sp_gamma
 
 from fojeffreys import TimeSeries, gl_differintegral, gl_weights
 
-print("=== GL weight tables ===")
+print("=== GL weights ===")
 for order in (1.0, -1.0, 0.5, 1.571):
-    w = gl_weights(order, 6).weights
+    w = gl_weights(order, 6)
     print(f"order {order:+.3f}: {np.array2string(w, precision=5)}")
 print("order 1 gives first-difference coefficients, order -1 a running sum.\n")
 

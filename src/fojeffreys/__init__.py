@@ -7,7 +7,6 @@ data.
 """
 
 from .fractional import (
-    GlWeightTable,
     TimeSeries,
     dirac_differintegral_analytic,
     gamma_fn,
@@ -54,7 +53,6 @@ __all__ = [
     "FitResult",
     "FoJeffreysParams",
     "FrfDataset",
-    "GlWeightTable",
     "IntegerJeffreysParams",
     "ResidualReport",
     "SignalSpec",

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = [
-    "GlWeightTable",
     "TimeSeries",
     "dirac_differintegral_analytic",
     "gamma_fn",
@@ -50,28 +49,6 @@ def gamma_fn(z: float) -> float:
     return math.gamma(z)
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class GlWeightTable:
-    """Sign-alternating binomial weights w_0..w_N for one fractional order."""
-
-    order: float
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.order):
-            raise ValueError(f"weight table order must be finite, got {self.order}")
-        object.__setattr__(self, "weights", _read_only(self.weights))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly sampled real signal starting at t = 0.
@@ -91,13 +68,14 @@ class TimeSeries:
         step = float(self.step)
         if not math.isfinite(step) or step <= 0.0:
             raise ValueError(f"time series step must be positive, got {self.step}")
-        samples = np.asarray(self.samples, dtype=float)
+        samples = np.array(self.samples, dtype=float)  # a copy: callers keep theirs
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("time series samples must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(samples)):
             raise ValueError("time series samples must all be finite")
+        samples.flags.writeable = False
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "samples", _read_only(samples))
+        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -113,13 +91,18 @@ class TimeSeries:
         return (len(self.samples) - 1) * self.step
 
 
-def gl_weights(alpha: float, n: int) -> GlWeightTable:
-    """Weights w_0..w_n of the order-``alpha`` differintegral.
+def gl_weights(alpha: float, n: int) -> np.ndarray:
+    """Weights w_0..w_n of the order-``alpha`` differintegral, read-only.
 
     Computed by the recursion ``w_0 = 1, w_i = (1 - (alpha + 1)/i) * w_{i-1}``,
     which agrees with the direct evaluation ``(-1)^i * binom(alpha, i)`` to
     round-off. Negative ``alpha`` yields integration weights (all ones for
     alpha = -1).
+
+    Raises
+    ------
+    ValueError
+        If ``alpha`` is non-finite or ``n`` is negative.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -132,7 +115,8 @@ def gl_weights(alpha: float, n: int) -> GlWeightTable:
     if n > 0:
         i = np.arange(1, n + 1, dtype=float)
         weights[1:] = np.cumprod(1.0 - (alpha + 1.0) / i)
-    return GlWeightTable(order=alpha, weights=weights)
+    weights.flags.writeable = False
+    return weights
 
 
 def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,13 +146,11 @@ def gl_differintegral(f: TimeSeries, alpha: float) -> TimeSeries:
         Differintegration order (negative values integrate).
     """
     alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"gl_differintegral requires a finite order, got {alpha}")
     if not isinstance(f, TimeSeries):
         raise TypeError("gl_differintegral expects a TimeSeries input")
     if alpha == 0.0:
         return f
-    weights = gl_weights(alpha, len(f) - 1).weights
+    weights = gl_weights(alpha, len(f) - 1)  # raises for a non-finite order
     out = _causal_convolve(f.samples, weights) * f.step ** (-alpha)
     return TimeSeries(step=f.step, samples=out)
 
@@ -183,17 +165,11 @@ def dirac_differintegral_analytic(eta: float, t: float) -> float:
     Raises
     ------
     ValueError
-        If ``t <= 0`` (domain error) or ``eta`` is a non-negative integer,
-        where Gamma(-eta) has a pole.
+        If ``t <= 0`` (domain error), or if ``eta`` is non-finite or a
+        non-negative integer, where ``gamma_fn`` rejects -eta as a pole.
     """
-    eta = float(eta)
-    t = float(t)
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
+    eta, t = float(eta), float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise ValueError(f"dirac differintegral requires t > 0, got {t}")
-    if eta >= 0.0 and eta == math.floor(eta):
-        raise ValueError(f"Gamma(-eta) pole at eta={eta}")
-    if eta == -1.0:
-        return 1.0
-    return t ** (-eta - 1.0) / gamma_fn(-eta)
+    gamma = gamma_fn(-eta)  # raises at a pole before the power can overflow there
+    return t ** (-eta - 1.0) / gamma

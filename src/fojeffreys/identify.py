@@ -45,13 +45,13 @@ _DEG_PER_RAD = 180.0 / math.pi
 
 
 class FitNonConvergenceError(RuntimeError):
-    """Raised when no start converges; carries the best incumbent."""
+    """Raised when the returned start did not converge; carries that incumbent."""
 
     def __init__(self, result: "FitResult"):
         self.result = result
         super().__init__(
-            "no start converged within the evaluation budget "
-            f"(best objective {result.objective:.6g})"
+            "the lowest-cost start met no tolerance within its evaluation budget "
+            f"(objective {result.objective:.6g})"
         )
 
 
@@ -365,8 +365,9 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     Raises
     ------
     FitNonConvergenceError
-        If no start converged; the exception carries the best incumbent
-        ``FitResult``.
+        Exactly when the kept start did not converge, that is when the
+        result's ``converged`` is false; the exception carries that
+        incumbent ``FitResult``.
     ValueError
         If the data's gain level puts mu outside the floating-point range.
     """
@@ -400,7 +401,7 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
         converged=ier in _LM_SUCCESS,
         per_point_residuals=np.column_stack([report.residual_db, report.residual_deg]),
     )
-    assert not validate(result.params, "constrained")
-    if not any(sol[4] in _LM_SUCCESS for sol in solutions):
+    assert not validate(result.params)
+    if not result.converged:
         raise FitNonConvergenceError(result)
     return result

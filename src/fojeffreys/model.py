@@ -86,18 +86,14 @@ class FoJeffreysParams:
         _set_checked(self, _require_order, "alpha", "beta", "gamma")
 
 
-def validate(params: FoJeffreysParams, mode: str = "constrained") -> list[str]:
+def validate(params: FoJeffreysParams) -> list[str]:
     """Check the physical parameter constraints.
 
-    In ``constrained`` mode the report lists every violated constraint among
-    lambda2 > lambda1, alpha = beta and gamma = 1; an empty list means the
-    parameters are physically admissible. ``unconstrained`` mode accepts any
-    constructible parameter set (used for integrator-order studies).
+    The report lists every violated constraint among lambda2 > lambda1,
+    alpha = beta and gamma = 1; an empty list means the parameters are
+    physically admissible. Studies of other orders simply do not call it:
+    every constructible parameter set can be simulated.
     """
-    if mode not in ("constrained", "unconstrained"):
-        raise ValueError(f"unknown validation mode {mode!r}")
-    if mode == "unconstrained":
-        return []
     violations = []
     if not params.lambda2 > params.lambda1:
         violations.append(

@@ -66,6 +66,9 @@ __all__ = [
 _SIGNAL_KINDS = ("impulse", "step", "slope", "sine")
 # Contour nodes evaluated per block, so the temporaries of G stay small.
 _NODE_CHUNK = 8192
+# classify_late_trend's window, a share of the record, and its trend rate, 1/s.
+_TREND_FRACTION = 0.2
+_TREND_RATE = 0.01
 
 
 class SimulationDivergedError(RuntimeError):
@@ -388,31 +391,26 @@ def steady_state_sine_gain(
     return amp_out / amp_in, phase
 
 
-def classify_late_trend(
-    series: TimeSeries,
-    fraction: float = 0.2,
-    rate_threshold: float = 0.01,
-) -> str:
+def classify_late_trend(series: TimeSeries) -> str:
     """Classify the late-time behaviour of a response magnitude.
 
-    Fits a straight line to |x| over the trailing ``fraction`` of the record
-    and compares the slope, normalized by the window mean and expressed per
-    second, against ``rate_threshold``. Returns one of ``"decaying"``,
-    ``"constant"`` or ``"growing"``.
+    Fits a straight line to |x| over the last fifth of the record (at least
+    two samples) and compares the slope, normalized by the window mean and
+    expressed per second, against 0.01/s. Returns one of ``"decaying"``,
+    ``"constant"`` or ``"growing"``; a one-sample record, which has no
+    measurable slope, is ``"constant"``.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     n = len(series)
-    start = max(0, n - max(2, int(round(fraction * n))))
+    start = max(0, n - max(2, round(_TREND_FRACTION * n)))
     t = series.times[start:]
     magnitude = np.abs(series.samples[start:])
     scale = float(np.mean(magnitude))
-    if scale == 0.0:
+    if n < 2 or scale == 0.0:
         return "constant"
     slope = float(np.polyfit(t, magnitude, 1)[0])
     rate = slope / scale
-    if rate > rate_threshold:
+    if rate > _TREND_RATE:
         return "growing"
-    if rate < -rate_threshold:
+    if rate < -_TREND_RATE:
         return "decaying"
     return "constant"

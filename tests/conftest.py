@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fojeffreys import FoJeffreysParams, FrfDataset, freq_response
+from fojeffreys import FoJeffreysParams, FrfDataset, freq_response, identify
 
 # Parameter set identified for the laboratory hydraulic cylinder; used as the
 # reference operating point throughout the suite.
@@ -64,3 +64,22 @@ def perturbed_guess(params: FoJeffreysParams, seed: int) -> FoJeffreysParams:
         beta=alpha,
         gamma=1.0,
     )
+
+
+def grid_start_wins_unconverged(monkeypatch) -> None:
+    """Patch fit's solver so that the kept start did not converge, the other did.
+
+    The grid start (solved first) is really solved but reports MINPACK status
+    5, an exhausted budget, at the lower cost; the guess start returns itself
+    unsolved, at a higher cost, with status 1, a tolerance met.
+    """
+    solve, starts = identify.leastsq, []
+
+    def leastsq(fun, x0, **kwargs):
+        starts.append(x0)
+        if len(starts) == 1:
+            x, cov_x, info, message, _ = solve(fun, x0, **kwargs)
+            return x, cov_x, info, message, 5
+        return x0, None, {"fvec": fun(x0), "nfev": 1}, "", 1
+
+    monkeypatch.setattr(identify, "leastsq", leastsq)

@@ -94,7 +94,7 @@ def test_weight_oracle():
     ok = True
     diagnostics = []
     for order in (-1.0, -0.5, 0.5, 1.0, 1.571):
-        weights = gl_weights(order, 50).weights
+        weights = gl_weights(order, 50)
         oracle = weights_direct(order, np.arange(51))
         nonzero = np.abs(oracle) > 0.0
         rel = np.max(np.abs(weights[nonzero] - oracle[nonzero]) / np.abs(oracle[nonzero]))

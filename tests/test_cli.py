@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from fojeffreys.dataio import (
     write_timeseries,
 )
 
-from conftest import CYLINDER
+from conftest import CYLINDER, grid_start_wins_unconverged
 
 CYL_FLAGS = [
     "--mu", "171e3",
@@ -361,6 +362,25 @@ class TestFit:
         assert report.exists()
         read_params(report)
 
+    def test_unconverged_kept_start_exits_4(self, tmp_path, capsys, monkeypatch):
+        # Exit 4 exactly when the summary prints "converged": false, even
+        # when the other start converged at a higher cost.
+        frf = self.make_frf_file(tmp_path, capsys)
+        grid_start_wins_unconverged(monkeypatch)
+        report = tmp_path / "incumbent.csv"
+        code, out, err = run(
+            capsys,
+            "fit", "--frf", str(frf), "--report", str(report),
+            "--lambda1", "0.01", "--lambda2", "0.06", "--alpha", "1.3",
+        )
+        assert code == 4
+        assert "did not converge" in err
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["converged"] is False
+        assert summary["objective"] < 1e-12
+        written = dataclasses.asdict(read_params(report))
+        assert written == {name: summary[name] for name in CYLINDER}
+
     def test_deterministic_outputs(self, tmp_path, capsys):
         frf = self.make_frf_file(tmp_path, capsys)
         r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -491,15 +511,18 @@ class TestImpulseStudy:
         assert not out_file.exists()
 
     def test_out_of_bounds_gamma(self, tmp_path, capsys):
-        code, _, err = run(
+        # Every order is checked before the first solve prints a summary.
+        out = tmp_path / "s.csv"
+        code, stdout, err = run(
             capsys,
             "impulse-study", *CYL_FLAGS,
-            "--gammas", "2.5",
+            "--gammas", "0.9,1,2.5",
             "--duration", "1.0", "--step", "1e-2",
-            "--out", str(tmp_path / "s.csv"),
+            "--out", str(out),
         )
         assert code == 2
         assert "(0, 2)" in err
+        assert stdout == "" and not out.exists()
 
 
 def test_frf_file_round_trip_through_cli(tmp_path, capsys):

@@ -268,6 +268,20 @@ class TestWrapPhase:
         turns = (phase - wrapped) / 360.0
         assert abs(turns - round(turns)) <= 1e-9
 
+    def test_wrap_seeded_sweep(self):
+        # The property above on seeded draws from the same range, which do
+        # not move when the package's literals change Hypothesis's draws;
+        # half the magnitudes are log-uniform down to 1e-300.
+        rng = np.random.default_rng(15)
+        magnitudes = np.concatenate(
+            [rng.uniform(0.0, 1e6, 75), 10.0 ** rng.uniform(-300.0, 6.0, 75)]
+        )
+        for phase in magnitudes * rng.choice([-1.0, 1.0], magnitudes.size):
+            wrapped = wrap_phase_deg(float(phase))
+            assert -360.0 < wrapped <= 0.0, phase
+            turns = (phase - wrapped) / 360.0
+            assert abs(turns - round(turns)) <= 1e-9, phase
+
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
@@ -281,6 +295,29 @@ def test_timeseries_round_trip_is_bit_exact(tmp_path_factory, samples, step):
     back = read_timeseries(path)
     assert back.step == series.step
     assert back.samples.tobytes() == series.samples.tobytes()
+
+
+def finite_doubles(rng, size: int) -> np.ndarray:
+    """Seeded doubles over the whole finite range: uniform random bit patterns,
+    so subnormals, signed zeros and extreme exponents all turn up."""
+    bits = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return np.where(np.isfinite(values), values, 0.0)
+
+
+def test_timeseries_round_trip_seeded_sweep(tmp_path):
+    # test_timeseries_round_trip_is_bit_exact on seeded draws from the same
+    # ranges, which do not move when the package's literals change
+    # Hypothesis's draws.
+    rng = np.random.default_rng(151)
+    path = tmp_path / "s.csv"
+    for case in range(150):
+        samples = finite_doubles(rng, int(rng.integers(2, 65)))
+        series = TimeSeries(step=10.0 ** rng.uniform(-6.0, 3.0), samples=samples)
+        write_timeseries(series, path)
+        back = read_timeseries(path)
+        assert back.step == series.step, case
+        assert back.samples.tobytes() == series.samples.tobytes(), case
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -318,6 +355,24 @@ def test_frf_rows_round_trip(tmp_path_factory, rows):
     assert np.max(np.abs(data.magnitude_db - db)) <= 1e-12
     turns = (data.phase_deg_unwrapped - deg) / 360.0
     assert np.max(np.abs(turns - np.round(turns))) <= 1e-9
+
+
+def test_frf_rows_round_trip_seeded_sweep(tmp_path):
+    # test_frf_rows_round_trip on seeded draws from the same ranges, which do
+    # not move when the package's literals change Hypothesis's draws.
+    rng = np.random.default_rng(152)
+    path = tmp_path / "f.csv"
+    for case in range(150):
+        n = int(rng.integers(4, 33))
+        freqs = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))
+        assert np.all(np.diff(freqs) > 0.0)
+        db, deg = rng.uniform(-300.0, 300.0, n), rng.uniform(-1e4, 1e4, n)
+        write_frf_rows(freqs, db, deg, path)
+        data = read_frf(path)
+        assert data.frequencies_hz.tobytes() == freqs.tobytes(), case
+        assert np.max(np.abs(data.magnitude_db - db)) <= 1e-12, case
+        turns = (data.phase_deg_unwrapped - deg) / 360.0
+        assert np.max(np.abs(turns - np.round(turns))) <= 1e-9, case
 
 
 def test_write_frf_rows_allows_short_sweeps(tmp_path):

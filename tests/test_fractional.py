@@ -57,34 +57,34 @@ class TestGammaFn:
 
 class TestGlWeights:
     def test_first_difference(self):
-        np.testing.assert_array_equal(gl_weights(1.0, 3).weights, [1.0, -1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(gl_weights(1.0, 3), [1.0, -1.0, 0.0, 0.0])
 
     def test_integration_all_ones(self):
-        np.testing.assert_array_equal(gl_weights(-1.0, 3).weights, [1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(gl_weights(-1.0, 3), [1.0, 1.0, 1.0, 1.0])
 
     def test_half_order_sequence(self):
         expected = [1.0, -0.5, -0.125, -0.0625]
-        got = gl_weights(0.5, 3).weights
+        got = gl_weights(0.5, 3)
         np.testing.assert_allclose(got, expected, rtol=1e-15)
         np.testing.assert_allclose(got, weights_direct(0.5, np.arange(4)), rtol=1e-14)
 
     @pytest.mark.parametrize("order", [-1.0, -0.5, 0.5, 1.0, 1.571])
     def test_recursion_matches_direct_binomial(self, order):
-        table = gl_weights(order, 50)
+        weights = gl_weights(order, 50)
         oracle = weights_direct(order, np.arange(51))
         nonzero = np.abs(oracle) > 0.0
-        rel = np.abs(table.weights[nonzero] - oracle[nonzero]) / np.abs(oracle[nonzero])
+        rel = np.abs(weights[nonzero] - oracle[nonzero]) / np.abs(oracle[nonzero])
         assert np.max(rel) <= 1e-12
-        np.testing.assert_array_equal(table.weights[~nonzero], 0.0)
+        np.testing.assert_array_equal(weights[~nonzero], 0.0)
 
     def test_leading_weight_is_one(self):
         rng = np.random.default_rng(3)
         for order in rng.uniform(-2.0, 2.0, size=20):
-            assert gl_weights(order, 5).weights[0] == 1.0
+            assert gl_weights(order, 5)[0] == 1.0
 
     @pytest.mark.parametrize("order", [0.1, 0.37, 0.5, 0.93])
     def test_unit_interval_orders_negative_and_increasing(self, order):
-        w = gl_weights(order, 40).weights
+        w = gl_weights(order, 40)
         assert np.all(w[1:] < 0.0)
         assert np.all(np.diff(w[1:]) > 0.0)
 
@@ -94,9 +94,13 @@ class TestGlWeights:
         for _ in range(60):
             order = float(rng.uniform(-2.0, 2.0))
             n = int(rng.integers(1, 60))
-            lhs = gl_weights(order, n).weights.sum()
+            lhs = gl_weights(order, n).sum()
             rhs = float(weights_direct(order - 1.0, np.array([n]))[0])
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    def test_weights_are_read_only(self):
+        with pytest.raises(ValueError):
+            gl_weights(0.5, 3)[1] = 0.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -189,7 +193,7 @@ class TestGlDifferintegral:
         h = 1e-3
         rng = np.random.default_rng(3)
         series = TimeSeries(step=h, samples=rng.normal(size=5001))
-        weights = gl_weights(order, len(series) - 1).weights
+        weights = gl_weights(order, len(series) - 1)
         direct = np.convolve(series.samples, weights)[: len(series)] * h ** (-order)
         got = gl_differintegral(series, order).samples
         assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))

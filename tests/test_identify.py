@@ -20,7 +20,13 @@ from fojeffreys import (
 )
 from fojeffreys import identify
 
-from conftest import CYLINDER, add_frf_noise, make_synthetic_frf, perturbed_guess
+from conftest import (
+    CYLINDER,
+    add_frf_noise,
+    grid_start_wins_unconverged,
+    make_synthetic_frf,
+    perturbed_guess,
+)
 
 DB_FOR_DOUBLED_GAIN = (20.0 * math.log10(2.0)) ** 2  # 36.2471 dB^2
 
@@ -386,7 +392,7 @@ class TestFit:
     def test_result_is_constrained_valid(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
         result = fit(data, FitConfig())
-        assert validate(result.params, "constrained") == []
+        assert validate(result.params) == []
         assert result.params.gamma == 1.0
 
     def test_io_class_pins_integer_orders(self, cylinder_params):
@@ -426,7 +432,7 @@ class TestFit:
         deg_err = np.degrees(np.angle(gains)) + 90.0
         assert np.max(np.abs(db_err)) <= 0.1
         assert np.max(np.abs(deg_err)) <= 0.1
-        assert validate(result.params, "constrained") == []
+        assert validate(result.params) == []
 
     def test_gain_scaling_moves_only_mu(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
@@ -481,7 +487,7 @@ class TestFit:
         result = fit(data, FitConfig(initial_guess=guess))
         assert result.converged
         assert result.objective < 1e-12
-        assert validate(result.params, "constrained") == []
+        assert validate(result.params) == []
 
     @pytest.mark.parametrize(
         "mu, lambda1, lambda2, alpha",
@@ -507,7 +513,21 @@ class TestFit:
         incumbent = excinfo.value.result
         assert incumbent.converged is False
         assert math.isfinite(incumbent.objective)
-        assert validate(incumbent.params, "constrained") == []
+        assert validate(incumbent.params) == []
+
+    def test_verdict_follows_the_kept_start(self, cylinder_params, monkeypatch):
+        # The other start's convergence does not make the kept one's result
+        # converged: fit raises exactly when the result says converged=False.
+        grid_start_wins_unconverged(monkeypatch)
+        data = make_synthetic_frf(cylinder_params)
+        guess = perturbed_guess(cylinder_params, seed=1)
+        with pytest.raises(FitNonConvergenceError) as excinfo:
+            fit(data, FitConfig(initial_guess=guess))
+        incumbent = excinfo.value.result
+        assert incumbent.converged is False
+        assert incumbent.objective < 1e-12  # the grid start's optimum
+        assert incumbent.objective < objective(guess, data)
+        assert validate(incumbent.params) == []
 
     def test_per_point_residuals_consistent(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)

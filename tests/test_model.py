@@ -28,32 +28,27 @@ def reference_response(params: FoJeffreysParams, omega: float) -> complex:
 
 class TestParamsAndValidation:
     def test_cylinder_parameters_are_valid(self, cylinder_params):
-        assert validate(cylinder_params, "constrained") == []
+        assert validate(cylinder_params) == []
 
     def test_lambda_ordering_violation(self):
         params = FoJeffreysParams(
             mu=1.0, lambda1=0.05, lambda2=0.01, alpha=1.0, beta=1.0, gamma=1.0
         )
-        report = validate(params, "constrained")
+        report = validate(params)
         assert len(report) == 1 and "lambda2" in report[0]
 
     def test_order_mismatch_violation(self):
         params = FoJeffreysParams(
             mu=1.0, lambda1=0.01, lambda2=0.05, alpha=1.2, beta=1.0, gamma=1.0
         )
-        report = validate(params, "constrained")
+        report = validate(params)
         assert len(report) == 1 and "alpha" in report[0]
 
     def test_gamma_violation_only_in_constrained_mode(self):
         params = FoJeffreysParams(
             mu=1.0, lambda1=0.01, lambda2=0.05, alpha=1.2, beta=1.2, gamma=0.9
         )
-        assert any("gamma" in v for v in validate(params, "constrained"))
-        assert validate(params, "unconstrained") == []
-
-    def test_unknown_mode_rejected(self, cylinder_params):
-        with pytest.raises(ValueError):
-            validate(cylinder_params, "strict")
+        assert any("gamma" in v for v in validate(params))
 
     @pytest.mark.parametrize(
         "overrides",

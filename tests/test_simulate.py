@@ -447,7 +447,7 @@ def kernel_system(alpha: float, n: int, h: float = 1e-3):
     params = FoJeffreysParams(**{**CYLINDER, "alpha": alpha, "beta": alpha})
 
     def gl_operator(order, coefficient):
-        return coefficient * h ** (-order) * gl_weights(order, n - 1).weights
+        return coefficient * h ** (-order) * gl_weights(order, n - 1)
 
     forcing = gl_operator(params.beta, params.lambda1)
     forcing[0] += 1.0
@@ -586,7 +586,18 @@ class TestLateTrend:
         series = TimeSeries(step=0.1, samples=np.zeros(50))
         assert classify_late_trend(series) == "constant"
 
-    def test_bad_fraction(self):
-        series = TimeSeries(step=0.1, samples=np.ones(50))
-        with pytest.raises(ValueError):
-            classify_late_trend(series, fraction=0.0)
+    def test_one_sample_is_constant(self):
+        # No slope is measurable; a line fit would fail inside LAPACK.
+        assert classify_late_trend(TimeSeries(step=1.0, samples=[1.0])) == "constant"
+
+    @pytest.mark.parametrize(
+        ("samples", "trend"),
+        [
+            ([1.0, 2.0], "growing"),
+            ([2.0, 1.0], "decaying"),
+            ([1.0, 1.001], "constant"),
+            ([-3.0, 1.0], "decaying"),  # the magnitude falls
+        ],
+    )
+    def test_two_samples_fit_one_line(self, samples, trend):
+        assert classify_late_trend(TimeSeries(step=1.0, samples=samples)) == trend

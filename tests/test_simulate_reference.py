@@ -42,7 +42,7 @@ def _gl_apply(samples: np.ndarray, order: float, step: float) -> np.ndarray:
     """Array-level differintegral without container validation."""
     if order == 0.0:
         return samples
-    weights = gl_weights(order, len(samples) - 1).weights
+    weights = gl_weights(order, len(samples) - 1)
     return np.convolve(samples, weights)[: len(samples)] * step ** (-order)
 
 
@@ -58,7 +58,7 @@ def reference_simulate(params, tau, divergence_limit=None):
     if bad.size:
         raise SimulationDivergedError(int(bad[0]))
 
-    weights = gl_weights(params.alpha, n - 1).weights
+    weights = gl_weights(params.alpha, n - 1)
     weights_rev = np.ascontiguousarray(weights[::-1])
     a = params.mu * params.lambda2 * h ** (-params.alpha)
     denom = a + params.mu
