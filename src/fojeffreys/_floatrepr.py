@@ -3,9 +3,16 @@
 The digits come from Ryu's d2s (U. Adams, "Ryu: fast float-to-string
 conversion", PLDI 2018): the shortest decimal that reads back to x, nearest
 to x among those, as CPython's repr finds it. Ryu needs only 64-bit integer
-arithmetic, so here it runs on whole numpy uint64 arrays; the digits are then
-laid out as CPython lays them out. ``dataio`` imports this module on its first
-long table, so commands that write none do not pay to build its tables.
+arithmetic, so here it runs on whole numpy uint64 arrays. Time stamps k*t_1
+of a grid whose step has a short decimal need no search: their digits are
+k times the step's.
+
+The digits are then laid out as CPython lays them out, in row order, into
+cells of four uint64 words of text with NUL holes: the sign, the digits and
+the point, the exponent, and a separator in the last byte. Each word is
+masked and marked by whole-word operations whose masks come from small
+tables, gathered per value. ``dataio`` imports this module on its first long
+table, so commands that write none do not pay to build its tables.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ def _scaled_interval(mv, mm_shift, i, shift):
     """
     a = mv - _U64(2)
     low, high = a & _LOW32, a >> _U64(32)
-    m = [limb[i] for limb in _POW5]
+    m = [np.take(limb, i) for limb in _POW5]
     cols, carry = [], _U64(0)
     for limb in m:
         product = low * limb
@@ -73,7 +80,7 @@ def shortest(x: np.ndarray):
     then rounds to even.
     """
     bits = x.view(np.uint64)
-    biased = (bits >> _U64(52)).astype(np.int32) & 0x7FF
+    biased = (bits >> _U64(52)).view(np.int64) & 0x7FF
     mantissa = bits & _U64((1 << 52) - 1)
     e2 = np.maximum(biased, 1) - 1077  # 1023 + 52 + 2: |x| = mv * 2^e2
     mv = (mantissa | ((biased != 0).astype(np.uint64) << _U64(52))) << _U64(2)
@@ -91,87 +98,171 @@ def shortest(x: np.ndarray):
         more = cut_p > cut_m
         removed += more * r
         vp, vm = np.where(more, cut_p, vp), np.where(more, cut_m, vm)
-    head = vr // _POW10[np.maximum(removed - 1, 0)]
+    head = vr // np.take(_POW10, np.maximum(removed - 1, 0))
     cut = removed > 0
     digits = np.where(cut, head // _U64(10), vr)
     last = np.where(cut, head - digits * _U64(10), _U64(0))
     tie = np.flatnonzero(vr_tz & (last == 5))
     if tie.size:
-        halfway = vr[tie] % _POW10[np.maximum(removed[tie] - 1, 0)] == 0
+        halfway = vr[tie] % np.take(_POW10, np.maximum(removed[tie] - 1, 0)) == 0
         last[tie] -= halfway & ((digits[tie] & _U64(1)) == 0)
     round_up = (digits == vm) | (last >= 5)  # vm is cut too
     return digits + round_up, q + e2 + removed
 
 
+def grid_digits(stamps: np.ndarray, k0: int, step: float):
+    """Digits and exponents of grid stamps t_k = k*step, k = k0, k0 + 1, ..., known without Ryu.
+
+    With repr(step) = m*10^-p, p <= 22 so that 10^p is an exact double,
+    stamp k is k*m*10^-p whenever k*m < 10^15 and float(k*m) / 10^p == t_k:
+    both sides are exact or correctly rounded, and a double's rounding
+    interval holds at most one decimal of 15 or fewer significant digits, so
+    that decimal is the shortest. Returns (known, digits, exponents), the
+    digits with trailing zeros cut and 0 where not known; t = 0 is never
+    known. ``step`` is positive.
+    """
+    mantissa, _, exponent = repr(float(step)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    fraction = fraction.rstrip("0")
+    m, p = int(whole + fraction), len(fraction) - int(exponent or 0)
+    m, p = (m * 10**-p, 0) if p < 0 else (m, p)
+    last = (10**15 - 1) // m if p <= 22 else 0  # the largest k with k*m < 10^15
+    k = np.arange(k0, k0 + stamps.size, dtype=np.uint64)
+    if last == 0:
+        return np.zeros(k.size, bool), np.zeros(k.size, np.uint64), np.zeros(k.size, np.int64)
+    digits = np.minimum(k, _U64(last)) * _U64(m)
+    known = (k > 0) & (k <= _U64(last)) & (digits.astype(float) / 10.0**p == stamps)
+    digits = np.where(known, digits, _U64(0))
+    exponents = known * np.int64(-p)
+    ten = _U64(10)
+    cut = np.flatnonzero(known & (digits == digits // ten * ten))
+    while cut.size:  # trailing zeros
+        digits[cut] //= ten
+        exponents[cut] += 1
+        cut = cut[digits[cut] == digits[cut] // ten * ten]
+    return known, digits, exponents
+
+
 def _exponent_words() -> np.ndarray:
-    """b"e-324" .. b"e+308" as NUL-padded uint64 words, then an empty word."""
-    text = b"".join(f"e{e:+03d}".encode().ljust(8, b"\0") for e in range(-324, 309))
-    return np.frombuffer(text + bytes(8), np.uint64)
+    """The exponent of a value with point position k = -323 .. 309, as a uint64 word.
+
+    d.ddde±XX is written for k <= -4 or k >= 17, with XX = k - 1; fixed
+    notation, for the k in between, writes no exponent: an empty word.
+    """
+    text = b"".join(
+        (b"" if -4 < k <= 16 else f"e{k - 1:+03d}".encode()).ljust(8, b"\0")
+        for k in range(-323, 310)
+    )
+    return np.frombuffer(text, np.uint64)
+
+
+def _layouts():
+    """The masks and digit scale of every layout, by (sign, n, kc).
+
+    A value of n digits whose point sits after digit k has kc = k + 4
+    clipped to 0 .. 21: 1 .. 20 in fixed notation, 0 and 21 in scientific.
+    Its digits, scaled by 10^(k - n + 1) for "ddd000.0", end at byte 23 of a
+    zero-padded 24-digit field, of which ``kept`` are written, the last flen
+    after the point. Three 4-word cells per layout: one keeps the digits
+    before the point, taken from the field shifted down one byte; one keeps
+    those after it, unshifted; one holds the "." between them and the "-" at
+    byte 0.
+    """
+    sign = np.arange(2)[:, None, None, None]
+    n = np.arange(18)[:, None, None]
+    k = np.arange(22)[:, None] - 4
+    fixed = (k > -4) & (k <= 16)
+    whole = fixed & (k >= n)
+    flen = np.where(whole, 1, np.where(fixed, n - k, n - 1))
+    kept = np.where(fixed, np.maximum(k, 1), 1) + flen
+    byte = np.arange(32)
+    before = (byte >= 23 - kept) & (byte < 23 - flen)
+    after = (byte >= 24 - flen) & (byte < 24)
+    marks = ((byte == 23 - flen) & (flen > 0)) * ord(".") + ((byte == 0) & (sign == 1)) * ord("-")
+    masks = np.stack(np.broadcast_arrays(before * 0xFF, after * 0xFF, marks)).astype(np.uint8)
+    scale = np.broadcast_to(_POW10[np.where(whole, k - n + 1, 0)], (2, 18, 22, 1))
+    return masks.view(np.uint64).reshape(3, -1, 4), scale.ravel()
 
 
 _DIGITS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
-_DIGITS = _DIGITS.view(np.uint32).ravel()  # b"0000" .. b"9999" as words
+_DIGITS = _DIGITS.view(np.uint32).ravel().astype(np.uint64)  # b"0000" .. b"9999", low half
+_DIGITS_HIGH = _DIGITS << _U64(32)
+_ZEROS = _U64(0x3030303030303030)  # b"00000000"
 _EXPONENTS = _exponent_words()
-_SLOTS = np.arange(3, 24, dtype=np.int16)[:, None]
-CELL = 29  # sign, 21 digits and a point, 5 exponent bytes, a separator
+_MASKS, _SCALES = _layouts()
 
 
-def repr_cells(values) -> np.ndarray:
-    """The bytes of ``repr(float(v))`` for each value, one NUL-padded column each.
+def _eight_digits(group):
+    """Words of the 8 ASCII digits of each group < 10^8."""
+    high = group // _U64(10000)
+    low = group - high * _U64(10000)
+    return np.take(_DIGITS, high.view(np.int64)) | np.take(_DIGITS_HIGH, low.view(np.int64))
 
-    Returns a (CELL, n) array; NULs may sit anywhere in a column, and its
-    last byte is always NUL. The layout is CPython's: fixed notation with a
-    digit on each side of the point for 1e-4 <= |v| < 1e16, else d.ddde±XX.
-    """
-    x = np.asarray(values, dtype=float)
-    size = x.size
-    ryu = (np.abs(x) < _RYU_BELOW) & (x != 0)
-    if ryu.all():
-        digits, e10 = shortest(x)
-    else:
-        digits = np.zeros(size, np.uint64)
-        e10 = np.zeros(size, np.int64)
-        digits[ryu], e10[ryu] = shortest(x[ryu])
-    n = np.floor(np.log10(np.maximum(digits, _U64(1)).astype(float))).astype(np.int64) + 1
-    n += (digits >= _POW10[np.minimum(n, 19)]).astype(np.int64) - (digits < _POW10[n - 1])
-    k = e10 + n  # the point sits after digit k
-    fixed = (k > -4) & (k <= 16)
-    whole = fixed & (k >= n)
-    # "ddd", "0.000ddd" and "ddd000.0" are the last ilen + flen <= 21 of 24
-    # digits, with the point before the last flen.
-    digits *= _POW10[np.where(whole, k - n + 1, 0)]
-    ilen = np.where(fixed, np.maximum(k, 1), 1)
-    flen = np.where(whole, 1, np.where(fixed, n - k, n - 1))
-    words = np.empty((6, size), np.uint32)
-    for w in (5, 4, 3, 2, 1):
-        rest = digits // _U64(10000)
-        words[w] = _DIGITS[digits - rest * _U64(10000)]
-        digits = rest
-    words[0] = _DIGITS[digits]
-    field = words.view(np.uint8).reshape(6, size, 4).transpose(0, 2, 1).reshape(24, size)[3:]
-    field *= _SLOTS >= (24 - ilen - flen).astype(np.int16)
-    point = (24 - flen).astype(np.int16)
-    before = _SLOTS < point
-    cells = np.zeros((CELL, size), np.uint8)
-    cells[0] = np.signbit(x) * np.uint8(ord("-"))
-    cells[1:22] = field * before
-    cells[2:23] |= field * ~before
-    dot = np.flatnonzero(flen > 0)
-    cells.reshape(-1)[(point[dot] - 2).astype(np.intp) * size + dot] = ord(".")
-    exponent = _EXPONENTS[np.where(fixed, 633, k + 323)]
-    cells[23:28] = exponent.view(np.uint8).reshape(size, 8)[:, :5].T
-    other = np.flatnonzero(~ryu)
-    if other.size:  # 0, nan, inf and |x| >= 2^50: repr once per distinct value
-        distinct, index = np.unique(x[other].view(np.uint64), return_inverse=True)
-        text = b"".join(repr(v).encode().ljust(24, b"\0") for v in distinct.view(float).tolist())
-        cells[:, other] = 0
-        cells[:24, other] = np.frombuffer(text, np.uint8).reshape(-1, 24)[index.ravel()].T
+
+def text_cells(values, separators) -> np.ndarray:
+    """Cells of ``repr`` itself, one per value, each ending in its separator."""
+    text = b"".join(repr(v).encode().ljust(32, b"\0") for v in np.asarray(values, float).tolist())
+    cells = np.frombuffer(text, np.uint64).reshape(-1, 4).copy()
+    cells[:, 3] |= separators
     return cells
 
 
-def join_cells(columns) -> bytes:
-    """CSV rows from equal-length (CELL, n) arrays of ``repr_cells``."""
-    table = np.ascontiguousarray(np.stack(columns).transpose(2, 0, 1))
-    table[:, :, -1] = ord(",")
-    table[:, -1, -1] = ord("\n")
-    return table[table != 0].tobytes()
+def cells(values: np.ndarray, separators: np.ndarray, grid=None) -> np.ndarray:
+    """The bytes of ``repr(float(v))`` for a (rows, columns) array, row by row.
+
+    Returns (rows, columns, 4) uint64 words, 32 bytes of text per value with
+    NUL holes: a "-" at byte 0, the digits and point ending at byte 23, the
+    exponent from byte 24, and the column's separator (a byte, shifted to
+    the top of a word) at byte 31. The layout is CPython's: fixed notation
+    with a digit on each side of the point for 1e-4 <= |v| < 1e16, else
+    d.ddde±XX. ``grid`` = (k0, step) says that column 0 holds the grid stamps
+    k*step from k = k0; see :func:`grid_digits`.
+    """
+    rows, columns = values.shape
+    x = values.ravel()
+    digits = np.zeros(x.size, np.uint64)
+    e10 = np.zeros(x.size, np.int64)
+    finite = np.abs(x) < _RYU_BELOW  # nan, inf and |x| >= 2^50 are left to repr
+    ryu = finite & (x != 0)  # 0 is laid out from 0 digits
+    if grid is not None:
+        known, stamp_digits, stamp_e10 = grid_digits(values[:, 0], *grid)
+        digits[::columns] = stamp_digits
+        e10[::columns] = stamp_e10
+        ryu[::columns] &= ~known
+    if ryu.all():
+        digits, e10 = shortest(x)
+    else:
+        index = np.flatnonzero(ryu)
+        digits[index], e10[index] = shortest(x[index])
+    # n digits (1 for 0) from the bit length b of float(digits): b*1233 >> 12
+    # is n or n - 1. The float may round up to the next power of 2, which
+    # has n digits too: no power of 10 lies that close below a power of 2.
+    count = np.maximum(digits, _U64(1))
+    n = ((count.astype(float).view(np.int64) >> 52) - 1022) * 1233 >> 12
+    n += count >= np.take(_POW10, n)
+    k = e10 + n  # the point sits after digit k
+    layout = (np.signbit(x) * 18 + n) * 22 + np.clip(k + 4, 0, 21)
+    digits *= np.take(_SCALES, layout)
+    high = digits // _U64(10**8)
+    top = high // _U64(10**8)  # digits < 10^17, so one digit
+    field = np.empty((x.size, 4), np.uint64)  # word 3 is scratch: every mask clears it
+    field[:, 0] = _ZEROS + (top << _U64(56))
+    field[:, 1] = _eight_digits(high - top * _U64(10**8))
+    field[:, 2] = _eight_digits(digits - high * _U64(10**8))
+    words = field.reshape(-1)
+    out = words >> _U64(8)
+    out[:-1] |= words[1:] << _U64(56)  # byte 23 takes the next word's byte: masked
+    before, after, marks = np.take(_MASKS, layout, axis=1)
+    out = out.reshape(-1, 4)
+    out &= before
+    field &= after
+    out |= field
+    out |= marks
+    out = out.reshape(rows, columns, 4)
+    out[:, :, 3] = np.take(_EXPONENTS, k + 323).reshape(rows, columns) | separators
+    other = np.flatnonzero(~finite)
+    if other.size:  # repr once per distinct value; its <= 24 bytes leave word 3 as it is
+        distinct, index = np.unique(x[other].view(np.uint64), return_inverse=True)
+        text = text_cells(distinct.view(float), _U64(0))
+        out.reshape(-1, 4)[other, :3] = text[index.ravel(), :3]
+    return out

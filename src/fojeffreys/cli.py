@@ -180,6 +180,9 @@ def _cmd_impulse_study(args) -> int:
         raise ValueError(f"bad --gammas list {args.gammas!r}") from exc
     if not gammas:
         raise ValueError("--gammas must list at least one value")
+    labels = [f"x_gamma_{g:g}" for g in gammas]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"--gammas {args.gammas!r} gives two columns one label")
     # Each column sets its own gamma; the base parameters are validated with
     # gamma = 1, whatever a parameter file holds. Every column's parameters
     # are built, and so checked, before the first solve prints anything.
@@ -204,8 +207,7 @@ def _cmd_impulse_study(args) -> int:
             }
             print(json.dumps(summary, sort_keys=True))
 
-    header = "time_s," + ",".join(f"x_gamma_{g:g}" for g in gammas)
-    dataio.write_columns(header, columns, args.out)
+    dataio.write_columns(",".join(["time_s", *labels]), columns, args.out)
     return EXIT_OK
 
 

@@ -10,8 +10,12 @@ bytes as one whole-file string; files that share a first column, in one pass.
 Each value is written as the bytes of ``repr(float(v))``. A chunk that holds
 ``_VECTOR_VALUES`` or more varying values is formatted by ``_floatrepr``, a
 port of Ryu's shortest-digit search (U. Adams, PLDI 2018) to numpy ``uint64``
-arrays with CPython's layout; a smaller chunk by ``repr`` itself, whose
-per-call cost is lower; a column that repeats one value, once.
+arrays with CPython's layout: row by row into 32-byte cells of text with NUL
+holes, which each file takes as its columns and strips of the NULs in one
+pass. A time column on a grid (as ``TimeSeries.times`` makes it) skips the
+search for most stamps: stamp k of step m*10^-p prints as k*m*10^-p. A
+smaller chunk goes through ``repr`` itself, whose per-call cost is lower; a
+column that repeats one value is formatted once.
 """
 
 from __future__ import annotations
@@ -67,32 +71,51 @@ def wrap_phase_deg(phase_deg):
     return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
-def _format_chunk(chunk):
-    """Cells of a (columns, rows) chunk, and the function that joins them into rows.
+def _format_chunk(columns, separators, grid):
+    """The rows of a chunk of equal-length columns, as a function of the columns to join.
 
     A column of one repeated value is formatted once. The others go through
     ``_floatrepr`` in one pass if they hold ``_VECTOR_VALUES`` values or
-    more, else every column goes through ``repr``.
+    more, else every column goes through ``repr``. ``grid`` = (k0, step)
+    says that column 0 holds grid stamps, as ``_floatrepr.cells`` takes it.
     """
-    bits = chunk.view(np.uint64)
-    repeated = (bits == bits[:, :1]).all(axis=1)
-    varying = np.flatnonzero(~repeated)
-    if varying.size * chunk.shape[1] < _VECTOR_VALUES:
-        return [list(map(repr, c)) for c in chunk.tolist()], _join_text
+    bits = [c.view(np.uint64) for c in columns]
+    varying = [j for j, b in enumerate(bits) if (b != b[0]).any()]
+    if len(varying) * len(bits[0]) < _VECTOR_VALUES:
+        text = [list(map(repr, c.tolist())) for c in columns]
+        return lambda indices: _join_text([text[j] for j in indices])
     from . import _floatrepr  # loaded by the first long table only
 
-    cells = np.zeros((len(chunk), _floatrepr.CELL, chunk.shape[1]), np.uint8)
-    formatted = _floatrepr.repr_cells(chunk[varying].ravel())
-    cells[varying] = formatted.reshape(_floatrepr.CELL, varying.size, -1).transpose(1, 0, 2)
-    for j in np.flatnonzero(repeated):
-        text = repr(float(chunk[j, 0])).encode()
-        cells[j, :len(text)] = np.frombuffer(text, np.uint8)[:, None]
-    return cells, _floatrepr.join_cells
+    grid = grid if varying[0] == 0 else None
+    values = np.stack([columns[j] for j in varying], axis=1)
+    cells = formatted = _floatrepr.cells(values, separators[varying], grid)
+    if len(varying) < len(columns):
+        repeated = [j for j in range(len(columns)) if j not in varying]
+        cells = np.empty((len(values), len(columns), 4), np.uint64)
+        cells[:, varying] = formatted
+        cells[:, repeated] = _floatrepr.text_cells(
+            [columns[j][0] for j in repeated], separators[repeated]
+        )
+    every = list(range(len(columns)))
+    return lambda indices: (
+        (cells if indices == every else np.take(cells, indices, axis=1))
+        .tobytes().translate(None, b"\0")
+    )
 
 
 def _join_text(columns) -> bytes:
     """CSV rows from equal-length lists of strings."""
     return ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
+
+
+def _grid_step(first):
+    """t_1 if first[k] == k * t_1 for every k, t_1 > 0, as ``TimeSeries.times`` makes it."""
+    step = float(first[1]) if len(first) > 1 else 0.0
+    # The last stamp first, which also keeps k * t_1 from overflowing.
+    if step > 0.0 and first[-1] == (len(first) - 1) * step:
+        if np.array_equal(first, np.arange(len(first)) * step):
+            return step
+    return None
 
 
 def _write_tables(first_column, tables) -> None:
@@ -101,8 +124,10 @@ def _write_tables(first_column, tables) -> None:
     Rows go out ``_CHUNK_ROWS`` at a time, each chunk formatted in one pass,
     the shared column once for all files. Values are written as the ``repr``
     of a Python float: the shortest string that round-trips exactly, whatever
-    the locale; from ``_VECTOR_VALUES`` values a pass, by ``_floatrepr``. A
-    path named twice gets the last table.
+    the locale; from ``_VECTOR_VALUES`` values a pass, by ``_floatrepr``,
+    which reads a grid first column (t_k == k * t_1 bit for bit, as
+    ``TimeSeries.times`` makes it) off its step. A path named twice gets the
+    last table. A table without columns of its own must be the only one.
     """
     first = np.asarray(first_column, dtype=float)
     by_file = {
@@ -111,20 +136,25 @@ def _write_tables(first_column, tables) -> None:
     }
     if any(len(c) != len(first) for _, columns, _ in by_file.values() for c in columns):
         raise ValueError("columns differ in length")
+    if len(by_file) > 1 and not all(columns for _, columns, _ in by_file.values()):
+        raise ValueError("a table written beside others needs columns of its own")
+    columns = [first] + [c for _, table, _ in by_file.values() for c in table]
+    separators = np.full(len(columns), ord(","), np.uint64) << np.uint64(56)
+    step = _grid_step(first)
     with contextlib.ExitStack() as stack:
-        files = []
-        for header, columns, path in by_file.values():
+        files, taken = [], 1
+        for header, table, path in by_file.values():
             file = stack.enter_context(open(path, "wb"))
             file.write(header.encode() + b"\n")
-            files.append((file, columns))
+            indices = [0, *range(taken, taken + len(table))]
+            separators[indices[-1]] = np.uint64(ord("\n")) << np.uint64(56)  # the row's end
+            files.append((file, indices))
+            taken += len(table)
         for start in range(0, len(first), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            chunk = np.stack([first[rows]] + [c[rows] for _, columns in files for c in columns])
-            cells, join = _format_chunk(chunk)
-            taken = 1
-            for file, columns in files:
-                file.write(join([cells[0], *cells[taken:taken + len(columns)]]))
-                taken += len(columns)
+            chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
+            join = _format_chunk(chunk, separators, None if step is None else (start, step))
+            for file, indices in files:
+                file.write(join(indices))
 
 
 def write_columns(header: str, columns, path) -> None:

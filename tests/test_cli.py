@@ -524,6 +524,22 @@ class TestImpulseStudy:
         assert "(0, 2)" in err
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("gammas", ["0.9999999,1", "1,1", "0.5,1.2,0.5"])
+    def test_repeated_column_label(self, tmp_path, capsys, gammas):
+        # Each order's column is labelled x_gamma_{g:g}, which keeps six
+        # significant digits; two equal labels could not be read back by name.
+        out = tmp_path / "s.csv"
+        code, stdout, err = run(
+            capsys,
+            "impulse-study", *CYL_FLAGS,
+            "--gammas", gammas,
+            "--duration", "1.0", "--step", "1e-2",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error: --gammas") and "label" in err
+        assert stdout == "" and not out.exists()
+
 
 def test_frf_file_round_trip_through_cli(tmp_path, capsys):
     out = tmp_path / "frf.csv"

@@ -19,12 +19,13 @@ from fojeffreys.dataio import (
     write_frf,
     _CHUNK_ROWS,
     _VECTOR_VALUES,
+    _write_tables,
     write_columns,
     write_frf_rows,
     write_timeseries,
 )
 
-from fojeffreys._floatrepr import join_cells, repr_cells
+from fojeffreys import _floatrepr
 
 from conftest import make_synthetic_frf
 
@@ -398,9 +399,14 @@ def reference_write_columns(header, columns, path):
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def vector_repr(values) -> list[str]:
-    """The vector formatter's text for each value."""
-    return join_cells([repr_cells(values)]).decode().splitlines()
+NEWLINE = np.uint64(ord("\n")) << np.uint64(56)
+
+
+def vector_repr(values, grid=None) -> list[str]:
+    """The vector formatter's text for each value, as one column."""
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    cells = _floatrepr.cells(column, np.array([NEWLINE]), grid)
+    return cells.tobytes().translate(None, b"\0").decode().splitlines()
 
 
 class TestVectorRepr:
@@ -432,6 +438,100 @@ class TestVectorRepr:
         sweep = np.concatenate([bits, bits | np.uint64(2**63)]).view(float)
         x = np.concatenate([sweep, np.ones(1000), np.arange(40000) * 0.25])
         assert vector_repr(x) == [repr(v) for v in x.tolist()]
+
+
+class TestGridStamps:
+    """Stamps k * t_1 of a grid take their digits from t_1's repr, not from Ryu."""
+
+    @staticmethod
+    def stamps(k0, step, n=_CHUNK_ROWS):
+        # The rows k0 .. k0 + n - 1 of TimeSeries.times, which is arange(n) * step.
+        return np.arange(k0, k0 + n) * step
+
+    @pytest.mark.parametrize(
+        "step", [1e-3, 2e-4, 0.0015, 1.0 / 3.0, 1e-5, 2.5e-7, 1e-20, 12345.678, 1e-22, 3e-23]
+    )
+    @pytest.mark.parametrize("k0", [0, _CHUNK_ROWS, 10**6, 10**12 + 7])
+    def test_matches_repr(self, step, k0):
+        t = self.stamps(k0, step)
+        assert vector_repr(t, grid=(k0, step)) == [repr(v) for v in t.tolist()]
+
+    def test_zero_stamp_is_not_known(self):
+        t = self.stamps(0, 1e-3)
+        known, digits, exponents = _floatrepr.grid_digits(t, 0, 1e-3)
+        assert not known[0] and digits[0] == 0 and exponents[0] == 0
+        assert vector_repr(t[:3], grid=(0, 1e-3)) == ["0.0", "0.001", "0.002"]
+
+    @pytest.mark.parametrize(
+        "step, share",
+        [(1e-3, 0.8), (2e-4, 0.6), (1e-5, 0.4), (2.5e-7, 0.6), (1e-20, 0.5), (1e-22, 0.5)],
+    )
+    def test_short_steps_skip_ryu(self, step, share):
+        # Most stamps are known; the rest, where k*m / 10^p rounds to
+        # another double than k * t_1, go to Ryu.
+        known, _, _ = _floatrepr.grid_digits(self.stamps(1, step), 1, step)
+        assert known.mean() > share
+
+    @pytest.mark.parametrize("step", [1.0 / 3.0, 0.1 + 0.2, 3e-23, 1e-23, 5e-324, 1e300])
+    def test_long_or_small_steps_are_never_known(self, step):
+        # repr(1/3) and repr(0.1 + 0.2) have 16 and 17 digits and 1e300 has
+        # m = 10^300, so k*m >= 10^15 from k = 1; 3e-23, 1e-23 and 5e-324
+        # need p > 22, past the powers of 10 that are exact doubles.
+        known, _, _ = _floatrepr.grid_digits(self.stamps(1, step), 1, step)
+        assert not known.any()
+
+    @pytest.mark.parametrize(
+        "k0, step", [(10**15 - 2000, 1e-3), (10**14 - 1000, 0.015), (2**53 - 2000, 1e-3)]
+    )
+    def test_declines_from_ten_to_the_fifteen(self, k0, step):
+        # k*m crosses 10^15 (and 2^53) inside the chunk; no stamp at or past
+        # it is known, and every stamp still prints as repr prints it.
+        t = self.stamps(k0, step)
+        k = np.arange(k0, k0 + t.size)
+        known, _, _ = _floatrepr.grid_digits(t, k0, step)
+        m = round(step * 1000)
+        assert known[k * m < 10**15].any() or k0 * m >= 10**15
+        assert not known[k * m >= 10**15].any()
+        assert vector_repr(t, grid=(k0, step)) == [repr(v) for v in t.tolist()]
+
+    def test_sixteen_digit_stamp_can_have_a_shorter_repr(self):
+        # At k = 8999999999000009 and t_1 = 1e-3, k / 10^3 rounds to k * t_1,
+        # yet repr gives 8999999999000.01: a 16-digit k*m is not the shortest.
+        k0 = 8999999999000000
+        t = self.stamps(k0, 1e-3, 64)
+        assert repr(float(t[9])) == "8999999999000.01"
+        assert vector_repr(t, grid=(k0, 1e-3)) == [repr(v) for v in t.tolist()]
+
+
+STEPS = [1e-3, 2e-4, 0.0015, 1.0 / 3.0, 1e-5, 2.5e-7, 1e-20, 12345.678]
+
+
+def draw_samples(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+    if kind == "bits":
+        return finite_doubles(rng, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    return sign * 10.0 ** rng.uniform(-300.0, 300.0, n)  # wide exponents
+
+
+@pytest.mark.parametrize("kind", ["normal", "bits", "wide"])
+@pytest.mark.parametrize("step", STEPS)
+def test_grid_tables_match_one_string_writer(tmp_path, step, kind):
+    # A pair on one grid and a four-column table: the first chunk takes the
+    # vector path with grid stamps, the last 500 rows the repr path.
+    rng = np.random.default_rng(STEPS.index(step) * 3 + ["normal", "bits", "wide"].index(kind))
+    n = _CHUNK_ROWS + 500
+    first = TimeSeries(step=step, samples=draw_samples(rng, kind, n))
+    second = TimeSeries(step=step, samples=draw_samples(rng, kind, n))
+    write_timeseries(first, tmp_path / "a.csv", (second, tmp_path / "b.csv"))
+    columns = [first.times, *(draw_samples(rng, kind, n) for _ in range(3))]
+    write_columns("t,x,y,z", columns, tmp_path / "four.csv")
+    for series, name in ((first, "a"), (second, "b")):
+        reference_write_columns("time_s,value", [series.times, series.samples], tmp_path / "r.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+    reference_write_columns("t,x,y,z", columns, tmp_path / "r.csv")
+    assert (tmp_path / "four.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
 
 class TestChunkedWriter:
@@ -512,6 +612,16 @@ class TestChunkedWriter:
         np.testing.assert_array_equal(
             read_timeseries(tmp_path / "x.csv").samples, second.samples
         )
+
+    def test_table_without_columns_must_be_alone(self, tmp_path):
+        # Rows end in the last column of their table; the shared first column
+        # cannot end the rows of one file and not of another.
+        write_columns("t", [np.arange(_VECTOR_VALUES) * 0.5], tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text().splitlines()[:3] == ["t", "0.0", "0.5"]
+        with pytest.raises(ValueError, match="columns of its own"):
+            _write_tables([0.0, 1.0], [("t", [], tmp_path / "a.csv"),
+                                       ("t,x", [[2.0, 3.0]], tmp_path / "b.csv")])
+        assert not (tmp_path / "a.csv").exists()
 
     def test_mismatched_grids_rejected_before_writing(self, tmp_path):
         first = TimeSeries(step=0.5, samples=np.ones(5))
