@@ -15,7 +15,6 @@ from fojeffreys import (
     FrfDataset,
     fit,
     freq_response,
-    residual_report,
 )
 
 truth = FoJeffreysParams(
@@ -45,7 +44,7 @@ for name in ("mu", "lambda1", "lambda2", "alpha"):
 print(f"\nobjective: FO {fo.objective:.2f}  vs  IO {io.objective:.2f} (dB^2 + deg^2)")
 print(f"converged: FO {fo.converged}, IO {io.converged}")
 
-report = residual_report(io, data)
+report = io.report  # the fit's own residual table, built once by fit
 print("\n=== where the IO fit misses (phase residuals, deg) ===")
 for i in (0, 10, 16, 18, 19):
     print(

@@ -112,6 +112,16 @@ def _signal_spec(args) -> SignalSpec:
     ))
 
 
+def _impulse_limit(spec: SignalSpec, params: FoJeffreysParams) -> float:
+    """Largest |x| an impulse response may reach before it counts as diverged."""
+    return _DIVERGENCE_FACTOR * abs(spec.area) / params.mu
+
+
+def _trend_summary(series) -> dict:
+    """The summary fields that describe a response's end."""
+    return {"final_value": float(series.samples[-1]), "late_trend": classify_late_trend(series)}
+
+
 def _cmd_freqresp(args) -> int:
     params = _resolve_params(args)
     if not math.isfinite(args.f_min) or not 0.0 < args.f_min < args.f_max:
@@ -133,16 +143,10 @@ def _cmd_freqresp(args) -> int:
 def _cmd_simulate(args) -> int:
     params = _resolve_params(args)
     spec = _signal_spec(args)
-    limit = None
-    if spec.kind == "impulse":
-        limit = _DIVERGENCE_FACTOR * abs(spec.area) / params.mu
+    limit = _impulse_limit(spec, params) if spec.kind == "impulse" else None
     result = simulate(params, generate_signal(spec), divergence_limit=limit)
     dataio.write_timeseries(result.input, args.out_input, (result.output, args.out_output))
-    summary = {
-        "samples": len(result.output),
-        "final_value": float(result.output.samples[-1]),
-        "late_trend": classify_late_trend(result.output),
-    }
+    summary = {"samples": len(result.output), **_trend_summary(result.output)}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -161,7 +165,7 @@ def _cmd_fit(args) -> int:
         result = exc.result
         print(f"fit did not converge: {exc}", file=sys.stderr)
         exit_code = EXIT_NO_CONVERGENCE
-    dataio.write_fit_report(result, data, args.report)
+    dataio.write_fit_report(result, args.report)
     summary = {
         "model_class": args.model_class,
         **asdict(result.params),
@@ -193,18 +197,14 @@ def _cmd_impulse_study(args) -> int:
         kind="impulse", duration=args.duration, step=args.step, area=args.area
     ))
     signal = generate_signal(spec)
-    limit = _DIVERGENCE_FACTOR * abs(spec.area) / base.mu
+    limit = _impulse_limit(spec, base)
 
     columns = [signal.times]
     with _sharing_nodes():  # the orders share one contour's ln s and s^alpha
         for params in studies:
             result = simulate(params, signal, divergence_limit=limit)
             columns.append(result.output.samples)
-            summary = {
-                "gamma": params.gamma,
-                "final_value": float(result.output.samples[-1]),
-                "late_trend": classify_late_trend(result.output),
-            }
+            summary = {"gamma": params.gamma, **_trend_summary(result.output)}
             print(json.dumps(summary, sort_keys=True))
 
     dataio.write_columns(",".join(["time_s", *labels]), columns, args.out)

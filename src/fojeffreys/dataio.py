@@ -14,8 +14,9 @@ arrays with CPython's layout: row by row into 32-byte cells of text with NUL
 holes, which each file takes as its columns and strips of the NULs in one
 pass. A time column on a grid (as ``TimeSeries.times`` makes it) skips the
 search for most stamps: stamp k of step m*10^-p prints as k*m*10^-p. A
-smaller chunk goes through ``repr`` itself, whose per-call cost is lower; a
-column that repeats one value is formatted once.
+smaller chunk goes through ``repr`` itself, so that a fit report (7 columns,
+up to 285 rows) never imports ``_floatrepr``; a column that repeats one value
+is formatted once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .fractional import TimeSeries
-from .identify import FitResult, FrfDataset, residual_report
+from .identify import FitResult, FrfDataset
 from .model import FoJeffreysParams
 
 __all__ = [
@@ -50,7 +51,7 @@ __all__ = [
 FRF_HEADER = "frequency_hz,magnitude_db,phase_deg"
 TIMESERIES_HEADER = "time_s,value"
 _CHUNK_ROWS = 4096  # rows formatted per pass; bounds the writers' peak memory
-_VECTOR_VALUES = 2000  # values per pass from which _floatrepr beats map(repr)
+_VECTOR_VALUES = 2000  # below it, repr: FRF-sized fit reports never import _floatrepr
 
 
 class FrfParseError(ValueError):
@@ -198,6 +199,8 @@ def read_frf(path) -> FrfDataset:
 
 def write_timeseries(series: TimeSeries, path, *more) -> None:
     """Write a sampled signal as time/value rows, plus (series, path) pairs on its grid."""
+    if len(series) < 2:  # read_timeseries needs two to fix the step
+        raise ValueError("a time series needs at least 2 samples to be written")
     if any(other.step != series.step for other, _ in more):
         raise ValueError("series written together must share the time step")
     tables = [(TIMESERIES_HEADER, [s.samples], p) for s, p in [(series, path), *more]]
@@ -224,13 +227,14 @@ def read_timeseries(path) -> TimeSeries:
     return TimeSeries(step=float(step), samples=values)
 
 
-def write_fit_report(result: FitResult, data: FrfDataset, path) -> None:
-    """Write identified parameters, diagnostics and the residual table.
+def write_fit_report(result: FitResult, path) -> None:
+    """Write identified parameters, diagnostics and ``result.report``'s table.
 
-    The parameter block uses ``name,value`` rows, so the report doubles as
-    a parameter file for :func:`read_params`.
+    Evaluates no model: the table is the one the fit built. The parameter
+    block uses ``name,value`` rows, so the report doubles as a parameter
+    file for :func:`read_params`.
     """
-    report = residual_report(result, data)
+    report = result.report
     names = [field.name for field in dataclasses.fields(report)]
     params = dataclasses.asdict(result.params)
     lines = [f"{name},{float(value)!r}" for name, value in params.items()]

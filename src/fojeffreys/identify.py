@@ -141,25 +141,24 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Identified parameters with convergence diagnostics.
+    """Identified parameters, convergence diagnostics and residual report.
 
-    ``objective`` equals the sum of squared per-point residuals
-    (dB^2 + deg^2). ``iterations`` counts the residual evaluations of the
-    winning start (Jacobian evaluations, which are closed form, are not
-    counted), and ``converged`` reports whether that start met a tolerance
-    before exhausting its budget.
+    ``report`` is the ``residual_report`` of the fitted parameters on the
+    fit's data, and ``objective`` its sum of squared residuals (dB^2 +
+    deg^2). ``iterations`` counts the residual evaluations of the winning
+    start (Jacobian evaluations, which are closed form, are not counted),
+    and ``converged`` reports whether that start met a tolerance before
+    exhausting its budget.
     """
 
     params: FoJeffreysParams
-    objective: float
     iterations: int
     converged: bool
-    per_point_residuals: np.ndarray = field(repr=False)
+    report: ResidualReport = field(repr=False)
 
-    def __post_init__(self) -> None:
-        residuals = np.asarray(self.per_point_residuals, dtype=float)
-        residuals.flags.writeable = False
-        object.__setattr__(self, "per_point_residuals", residuals)
+    @property
+    def objective(self) -> float:
+        return self.report.sum_squared
 
 
 @dataclass(frozen=True)
@@ -179,12 +178,15 @@ class ResidualReport:
         return float(np.sum(self.residual_db**2) + np.sum(self.residual_deg**2))
 
 
-def _report(params: FoJeffreysParams, data: FrfDataset) -> ResidualReport:
-    """The model-versus-data comparison behind every objective and residual.
+def residual_report(params: FoJeffreysParams, data: FrfDataset) -> ResidualReport:
+    """Tabulate measured vs modeled response for every frequency.
 
-    For orders in (0, 2), arg G = arg(1 + lambda1 s^beta) - 90 gamma - arg(1 +
-    lambda2 s^alpha) lies in (-180 - 90 gamma, 180 - 90 gamma) degrees, so the
-    model phase takes its continuous branch in closed form, not by np.unwrap.
+    The one model-versus-data comparison behind every objective, fit result
+    and report file. Every column is read-only; the measured and frequency
+    columns are the dataset's own arrays. For orders in (0, 2), arg G =
+    arg(1 + lambda1 s^beta) - 90 gamma - arg(1 + lambda2 s^alpha) lies in
+    (-180 - 90 gamma, 180 - 90 gamma) degrees, so the model phase takes its
+    continuous branch in closed form, not by np.unwrap.
     """
     gains = freq_response(params, data.omega)
     model_db = 20.0 * np.log10(np.abs(gains))
@@ -194,15 +196,10 @@ def _report(params: FoJeffreysParams, data: FrfDataset) -> ResidualReport:
     # Align the 360-degree branch at the first point, so the difference of
     # the two continuous phases is branch-independent.
     model_deg = model_deg - 360.0 * round((model_deg[0] - data_deg[0]) / 360.0)
-    return ResidualReport(
-        frequency_hz=data.frequencies_hz,
-        measured_db=data_db,
-        measured_deg=data_deg,
-        model_db=model_db,
-        model_deg=model_deg,
-        residual_db=model_db - data_db,
-        residual_deg=model_deg - data_deg,
-    )
+    computed = [model_db, model_deg, model_db - data_db, model_deg - data_deg]
+    for column in computed:
+        column.flags.writeable = False
+    return ResidualReport(data.frequencies_hz, data_db, data_deg, *computed)
 
 
 def objective(params: FoJeffreysParams, data: FrfDataset) -> float:
@@ -212,17 +209,7 @@ def objective(params: FoJeffreysParams, data: FrfDataset) -> float:
     points, with both phase curves continuous across the sweep before
     differencing.
     """
-    return _report(params, data).sum_squared
-
-
-def residual_report(result: FitResult, data: FrfDataset) -> ResidualReport:
-    """Tabulate measured vs modeled response for every frequency.
-
-    The sum of squared residuals reproduces ``result.objective`` to
-    round-off. The measured and frequency columns are the dataset's own
-    read-only arrays.
-    """
-    return _report(result.params, data)
+    return residual_report(params, data).sum_squared
 
 
 def _logit(x: float) -> float:
@@ -255,17 +242,17 @@ def _unpack(theta: np.ndarray, model_class: str) -> FoJeffreysParams:
 def _lm_problem(data: FrfDataset, model_class: str):
     """The reduced residual r(theta) and its closed-form Jacobian, for LM.
 
-    r = [dB residual minus its mean, degree residual] of ``_report`` at
-    mu = 1; the centring projects out log mu. Both come from one ln G =
+    r = [dB residual minus its mean, degree residual] of ``residual_report``
+    at mu = 1; the centring projects out log mu. Both come from one ln G =
     log1p(w1) - log1p(w2) - ln(j omega) per theta, w_i = lambda_i (j omega)^alpha,
     the logarithm of ``model._transfer`` at beta = alpha, gamma = 1, mu = 1,
     kept for the Jacobian that MINPACK takes where it has just taken r. For
-    0 < alpha < 2, Im ln G lies in ``_report``'s branch, (-270, 90) degrees.
-    With q_i = w_i / (1 + w_i), ln G has the derivatives q1 - q2, (1 - rho) q1
-    and alpha (1 - alpha/2) ln(j omega) (q1 - q2) in theta, rho = lambda1 /
-    lambda2; the dB rows are 20/ln 10 times their real parts, centred, the
-    degree rows 180/pi times their imaginary parts. A clipped coordinate has
-    a zero column.
+    0 < alpha < 2, Im ln G lies in ``residual_report``'s branch, (-270, 90)
+    degrees. With q_i = w_i / (1 + w_i), ln G has the derivatives q1 - q2,
+    (1 - rho) q1 and alpha (1 - alpha/2) ln(j omega) (q1 - q2) in theta,
+    rho = lambda1 / lambda2; the dB rows are 20/ln 10 times their real parts,
+    centred, the degree rows 180/pi times their imaginary parts. A clipped
+    coordinate has a zero column.
     """
     log_jomega = np.log(data.omega) + 0.5j * math.pi
     n, fo = len(data), model_class == "FO"
@@ -287,7 +274,7 @@ def _lm_problem(data: FrfDataset, model_class: str):
         log_g = evaluate(theta)[3]
         db = _DB_PER_NEPER * log_g.real - data_db
         deg = _DEG_PER_RAD * log_g.imag
-        deg -= 360.0 * round((deg[0] - data_deg[0]) / 360.0)  # as _report aligns it
+        deg -= 360.0 * round((deg[0] - data_deg[0]) / 360.0)  # as residual_report aligns it
         return np.concatenate([db - db.sum() / n, deg - data_deg])
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
@@ -389,17 +376,15 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
     ]
     x, _, info, _, ier = min(solutions, key=lambda sol: sol[2]["fvec"] @ sol[2]["fvec"])
     shape = _unpack(x, config.model_class)
-    log10_mu = float(np.mean(_report(shape, data).residual_db)) / 20.0
+    log10_mu = float(np.mean(residual_report(shape, data).residual_db)) / 20.0
     if abs(log10_mu) > 307.0:  # 10^-307 <= mu <= 10^307 are normal floats
         raise ValueError(f"the FRF gain level needs mu = 10^{log10_mu:.1f}, out of range")
     params = replace(shape, mu=10.0**log10_mu)
-    report = _report(params, data)
     result = FitResult(
         params=params,
-        objective=report.sum_squared,
         iterations=int(info["nfev"]),
         converged=ier in _LM_SUCCESS,
-        per_point_residuals=np.column_stack([report.residual_db, report.residual_deg]),
+        report=residual_report(params, data),
     )
     assert not validate(result.params)
     if not result.converged:

@@ -354,21 +354,19 @@ def steady_state_sine_gain(
     cycles = int(cycles)
     if cycles < 4:
         raise ValueError(f"at least 4 excitation cycles are required, got {cycles}")
-    step = float(step)
-    samples_per_cycle = 1.0 / (frequency * step)
-    if samples_per_cycle < 100.0 - 1e-9:
-        raise ValueError(
-            "step too coarse: need at least 100 samples per cycle, got "
-            f"{samples_per_cycle:.1f}"
-        )
-
-    spec = SignalSpec(
+    spec = SignalSpec(  # checks the step before it divides anything
         kind="sine",
         duration=cycles / frequency,
         step=step,
         amplitude=1.0,
         frequency=frequency,
     )
+    samples_per_cycle = 1.0 / (frequency * spec.step)
+    if samples_per_cycle < 100.0 - 1e-9:
+        raise ValueError(
+            "step too coarse: need at least 100 samples per cycle, got "
+            f"{samples_per_cycle:.1f}"
+        )
     result = simulate(params, generate_signal(spec))
 
     window_cycles = cycles // 2

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fojeffreys import FitResult, FoJeffreysParams, TimeSeries, fit, FitConfig
+from fojeffreys import FitResult, FoJeffreysParams, TimeSeries, fit, FitConfig, residual_report
+from fojeffreys import identify
 from fojeffreys.dataio import (
     FRF_HEADER,
     FrfParseError,
@@ -149,13 +150,25 @@ class TestReadTimeseries:
         with pytest.raises(ValueError, match="at least 2"):
             read_timeseries(path)
 
+    def test_too_short_refused_at_write(self, tmp_path):
+        # The reader could not take a one-sample file back, so none is written.
+        path = tmp_path / "ts.csv"
+        with pytest.raises(ValueError, match="at least 2"):
+            write_timeseries(TimeSeries(step=0.5, samples=[1.0]), path)
+        with pytest.raises(ValueError, match="at least 2"):
+            write_timeseries(
+                TimeSeries(step=0.5, samples=[1.0]), path,
+                (TimeSeries(step=0.5, samples=[2.0]), tmp_path / "b.csv"),
+            )
+        assert not path.exists() and not (tmp_path / "b.csv").exists()
+
 
 class TestFitReport:
     def test_params_round_trip_and_residual_identity(self, tmp_path, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
         result = fit(data, FitConfig())
         path = tmp_path / "report.csv"
-        write_fit_report(result, data, path)
+        write_fit_report(result, path)
 
         params = read_params(path)
         for name in ("mu", "lambda1", "lambda2", "alpha", "beta", "gamma"):
@@ -171,9 +184,24 @@ class TestFitReport:
         total = float(np.sum(table[:, 5] ** 2) + np.sum(table[:, 6] ** 2))
         assert math.isclose(total, result.objective, rel_tol=1e-9, abs_tol=1e-24)
 
+    def test_writer_runs_no_model(self, tmp_path, cylinder_params, monkeypatch):
+        # The report file is the result's own report: writing it evaluates
+        # no model, so its objective line and its table cannot disagree.
+        data = make_synthetic_frf(cylinder_params)
+        result = fit(data, FitConfig())
+        path = tmp_path / "report.csv"
+
+        def no_model(*args):
+            raise AssertionError("write_fit_report evaluated the model")
+
+        monkeypatch.setattr(identify, "freq_response", no_model)
+        write_fit_report(result, path)
+        assert read_params(path) == result.params
+
     def test_report_bytes_pinned(self, tmp_path):
         # A stub result runs no fit, so the bytes depend only on the residual
-        # table and the writer; the measured columns read back exactly.
+        # table and the writer; the measured columns read back exactly, and
+        # the objective line is the table's own sum of squares.
         frf = tmp_path / "five.csv"
         write_lines(frf, [
             FRF_HEADER,
@@ -183,17 +211,13 @@ class TestFitReport:
             "0.3,-110.0,-135.0",
             "1.0,-125.0,-170.0",
         ])
-        stub = FitResult(
-            params=FoJeffreysParams(
-                mu=171e3, lambda1=0.013, lambda2=0.047, alpha=1.571, beta=1.571
-            ),
-            objective=12.5,
-            iterations=7,
-            converged=False,
-            per_point_residuals=np.zeros((5, 2)),
+        params = FoJeffreysParams(
+            mu=171e3, lambda1=0.013, lambda2=0.047, alpha=1.571, beta=1.571
         )
+        report = residual_report(params, read_frf(frf))
+        stub = FitResult(params=params, iterations=7, converged=False, report=report)
         path = tmp_path / "report.csv"
-        write_fit_report(stub, read_frf(frf), path)
+        write_fit_report(stub, path)
         assert path.read_text().splitlines() == [
             "mu,171000.0",
             "lambda1,0.013",
@@ -201,7 +225,7 @@ class TestFitReport:
             "alpha,1.571",
             "beta,1.571",
             "gamma,1.0",
-            "objective,12.5",
+            "objective,3339.2234256539978",
             "converged,false",
             "iterations,7",
             "frequency_hz,measured_db,measured_deg,model_db,model_deg,"

@@ -75,7 +75,7 @@ class TestFrfDataset:
             data.magnitude_db[0] = 0.0
         with pytest.raises(ValueError):
             data.phase_deg_unwrapped[0] = 0.0
-        report = residual_report(fit_result_stub(cylinder_params, data), data)
+        report = residual_report(cylinder_params, data)
         with pytest.raises(ValueError):
             report.measured_db[0] = 0.0
         with pytest.raises(ValueError):
@@ -101,9 +101,7 @@ class TestObjective:
         )
         total = objective(doubled, data)
         assert math.isclose(total, len(data) * DB_FOR_DOUBLED_GAIN, rel_tol=1e-12)
-        report = residual_report(
-            fit_result_stub(doubled, data), data
-        )
+        report = residual_report(doubled, data)
         np.testing.assert_allclose(report.residual_db, -20.0 * math.log10(2.0))
         np.testing.assert_allclose(report.residual_deg, 0.0, atol=1e-12)
 
@@ -116,37 +114,25 @@ class TestObjective:
         assert math.isclose(objective(cylinder_params, shifted), 10.0, rel_tol=1e-9)
 
 
-def fit_result_stub(params, data):
-    from fojeffreys.identify import FitResult, _report
-
-    report = _report(params, data)
-    return FitResult(
-        params=params,
-        objective=objective(params, data),
-        iterations=0,
-        converged=True,
-        per_point_residuals=np.column_stack([report.residual_db, report.residual_deg]),
-    )
-
-
 class TestResidualReport:
     def test_perfect_fit_all_zero(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
-        report = residual_report(fit_result_stub(cylinder_params, data), data)
+        report = residual_report(cylinder_params, data)
         np.testing.assert_allclose(report.residual_db, 0.0, atol=1e-12)
         np.testing.assert_allclose(report.residual_deg, 0.0, atol=1e-12)
 
     def test_sum_squared_equals_objective(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
         perturbed = perturbed_guess(cylinder_params, seed=5)
-        result = fit_result_stub(perturbed, data)
-        report = residual_report(result, data)
-        assert math.isclose(report.sum_squared, result.objective, rel_tol=1e-12)
+        report = residual_report(perturbed, data)
+        assert report.sum_squared == objective(perturbed, data)
+        total = np.sum(report.residual_db**2) + np.sum(report.residual_deg**2)
+        assert math.isclose(report.sum_squared, total, rel_tol=1e-12)
 
     def test_perturbed_model_has_positive_residuals(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
         perturbed = perturbed_guess(cylinder_params, seed=5)
-        report = residual_report(fit_result_stub(perturbed, data), data)
+        report = residual_report(perturbed, data)
         per_point = report.residual_db**2 + report.residual_deg**2
         assert np.all(per_point > 0.0)
 
@@ -165,7 +151,7 @@ def needs_shift(params, data):
 
 
 class TestPhaseBranch:
-    """_report takes the model phase's branch in closed form, not by np.unwrap."""
+    """residual_report takes the model phase's branch in closed form, not by np.unwrap."""
 
     def test_constrained_sweep_crossing_minus_180(self):
         lambda2 = 0.1
@@ -174,7 +160,7 @@ class TestPhaseBranch:
         )
         data = make_synthetic_frf(params, n_points=200)
         assert needs_shift(params, data)
-        model_deg = identify._report(params, data).model_deg
+        model_deg = residual_report(params, data).model_deg
         assert model_deg.min() < -180.0
         np.testing.assert_allclose(
             model_deg, unwrap_reference_deg(params, data), rtol=0.0, atol=1e-9
@@ -198,7 +184,7 @@ class TestPhaseBranch:
             db_sigma=0.5, deg_sigma=2.0, seed=0,
         )
         assert needs_shift(params, data) == crosses
-        report = identify._report(params, data)
+        report = residual_report(params, data)
         reference_deg = unwrap_reference_deg(params, data)
         np.testing.assert_allclose(report.model_deg, reference_deg, rtol=0.0, atol=1e-9)
         reference = np.sum(report.residual_db**2) + np.sum(
@@ -212,7 +198,7 @@ class TestPhaseBranch:
             db_sigma=0.5, deg_sigma=2.0, seed=0,
         )
         assert not needs_shift(cylinder_params, data)
-        model_deg = identify._report(cylinder_params, data).model_deg
+        model_deg = residual_report(cylinder_params, data).model_deg
         assert np.array_equal(model_deg, unwrap_reference_deg(cylinder_params, data))
 
 
@@ -275,13 +261,13 @@ class TestLmResidual:
     @example("FO", LM_GATE_DATA[1], 0.0, CROSSING_THETA)
     @example("FO", LM_GATE_DATA[1], 200.0, CROSSING_THETA)
     def test_matches_report(self, model_class, data, degrees, theta):
-        # The LM residual is built from ln G, not by _report; it must be the
-        # reduced _report residual at the same theta. Rotating the data moves
+        # The LM residual is built from ln G, not by residual_report; it must be
+        # the reduced report residual at the same theta. Rotating the data moves
         # its first phase onto another 360-degree branch of the model's.
         data = rotated(data, degrees)
         theta = np.array(theta[: 3 if model_class == "FO" else 2])
         residuals, _ = identify._lm_problem(data, model_class)
-        report = identify._report(identify._unpack(theta, model_class), data)
+        report = residual_report(identify._unpack(theta, model_class), data)
         expected = np.concatenate(
             [report.residual_db - np.mean(report.residual_db), report.residual_deg]
         )
@@ -291,9 +277,9 @@ class TestLmResidual:
         # The sweep's model phase crosses -180 degrees, and rotating its data
         # by 200 degrees puts their first phase a branch away from the model's.
         crossing = LM_GATE_DATA[1]
-        model_deg = identify._report(CROSSING, crossing).model_deg
+        model_deg = residual_report(CROSSING, crossing).model_deg
         assert model_deg.min() < -180.0
-        shifted_deg = identify._report(CROSSING, rotated(crossing, 200.0)).model_deg
+        shifted_deg = residual_report(CROSSING, rotated(crossing, 200.0)).model_deg
         assert math.isclose(shifted_deg[0] - model_deg[0], 360.0, abs_tol=1e-9)
 
 
@@ -335,7 +321,7 @@ class TestJacobian:
         # iteration. fit then reports once at mu = 1, for the mean dB offset,
         # and once at the fitted mu.
         evaluated, jacobians, reports = [], [], []
-        problem, report = identify._lm_problem, identify._report
+        problem, report = identify._lm_problem, identify.residual_report
 
         def counted_problem(*args):
             residuals, jacobian = problem(*args)
@@ -352,7 +338,7 @@ class TestJacobian:
 
         monkeypatch.setattr(identify, "_lm_problem", counted_problem)
         monkeypatch.setattr(
-            identify, "_report", lambda *a: reports.append(a) or report(*a)
+            identify, "residual_report", lambda *a: reports.append(a) or report(*a)
         )
         data = add_frf_noise(
             make_synthetic_frf(cylinder_params), db_sigma=0.5, deg_sigma=2.0, seed=0
@@ -366,7 +352,7 @@ class TestJacobian:
     @pytest.mark.parametrize("model_class", ["FO", "IO"])
     def test_grid_costs_match_report(self, model_class):
         # Ranked on every point of a 20-point sweep, the grid's closed-form
-        # cost is the reduced sum of squares of _report at the same theta.
+        # cost is the reduced sum of squares of residual_report at the same theta.
         data = add_frf_noise(
             make_synthetic_frf(FoJeffreysParams(**CYLINDER)),
             db_sigma=0.5, deg_sigma=2.0, seed=0,
@@ -530,10 +516,28 @@ class TestFit:
         assert validate(incumbent.params) == []
 
     def test_per_point_residuals_consistent(self, cylinder_params):
-        data = make_synthetic_frf(cylinder_params)
+        # The result's objective is its own report's sum of squares, and that
+        # report is the one residual_report gives for the fitted parameters.
+        data = add_frf_noise(make_synthetic_frf(cylinder_params), 0.5, 2.0, seed=0)
         result = fit(data, FitConfig())
-        total = float(np.sum(result.per_point_residuals**2))
+        report = result.report
+        assert result.objective == report.sum_squared
+        total = float(np.sum(report.residual_db**2) + np.sum(report.residual_deg**2))
         assert math.isclose(total, result.objective, rel_tol=1e-12, abs_tol=1e-30)
+        expected = residual_report(result.params, data)
+        for name in ("model_db", "model_deg", "residual_db", "residual_deg"):
+            assert getattr(report, name).tobytes() == getattr(expected, name).tobytes()
+        assert report.measured_db is data.magnitude_db
+
+    def test_report_columns_read_only(self, cylinder_params):
+        # The result is immutable: no write reaches its report's computed
+        # columns, and the report cannot be swapped for another.
+        result = fit(make_synthetic_frf(cylinder_params), FitConfig())
+        for name in ("model_db", "model_deg", "residual_db", "residual_deg"):
+            with pytest.raises(ValueError):
+                getattr(result.report, name)[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.report = None
 
     def test_lm_scales_by_jacobian_columns(self, cylinder_params, monkeypatch):
         # MINPACK's mode 1 (no diag) scales each coordinate by its Jacobian

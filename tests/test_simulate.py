@@ -438,6 +438,12 @@ class TestSteadyStateSineGain:
         with pytest.raises(ValueError):
             steady_state_sine_gain(cylinder_params, 1.0, cycles=8, step=0.02)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
+    def test_invalid_step_rejected(self, cylinder_params, step):
+        # The step is checked before samples per cycle are counted from it.
+        with pytest.raises(ValueError, match="step must be positive"):
+            steady_state_sine_gain(cylinder_params, 1.0, cycles=8, step=step)
+
 
 def kernel_system(alpha: float, n: int, h: float = 1e-3):
     """Denominator and numerator GL power series of the cylinder kernel.
