@@ -256,7 +256,7 @@ def read_params(path) -> FoJeffreysParams:
     """
     names = [f.name for f in dataclasses.fields(FoJeffreysParams)]
     found: dict[str, float] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -282,7 +282,7 @@ def _read_table(path, header: str, n_fields: int) -> np.ndarray:
     The table is converted at once; only if that fails is it scanned line by
     line, to name the first malformed line.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0].strip() != header:
         raise FrfParseError(path, 1, f"expected header {header!r}")
     body = [line for line in map(str.strip, lines[1:]) if line]

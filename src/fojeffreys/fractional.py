@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 __all__ = [
     "TimeSeries",
@@ -119,6 +119,22 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     return weights
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, as ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The least power-of-two multiple of p35 that reaches n.
+            candidate = p35 << ((n - 1) // p35).bit_length()
+            if candidate < best:
+                best = candidate
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """First ``len(a)`` samples of the linear convolution ``a * b``.
 
@@ -126,7 +142,7 @@ def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     wrap-around reaches the kept samples.
     """
     n = len(a)
-    size = next_fast_len(2 * n - 1, real=True)
+    size = _fast_len(2 * n - 1)
     return irfft(rfft(a, size) * rfft(b[:n], size), size)[:n]
 
 

@@ -135,8 +135,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.model_class not in ("FO", "IO"):
             raise ValueError(f"model_class must be 'FO' or 'IO', got {self.model_class!r}")
-        if int(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 1 <= int(self.max_iterations) < 2**31:  # MINPACK's maxfev is a C int
+            raise ValueError(f"max_iterations must be in [1, {2**31 - 1}]")
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ SIAM J. Sci. Stat. Comput. 6, 1985), one rfft/irfft pair of size L:
 with s_l = (1 - zeta_l)/h and zeta_l = rho * exp(-2*pi*i*l/L). Coefficient
 k + L aliases onto k with weight rho^L, and rounding in the transforms is
 amplified by up to rho^(-n). rho^n = eps^(1/5) holds the rounding to about
-eps^(4/5); L = next_fast_len(5n) holds the weight rho^L to eps. The aliased
-coefficients lie past the record, where every input sample moves them, so a
-larger weight lets later inputs reach x_k: at a weight of eps^(4/5) (L = 4n)
-they move it by up to 1.2e-11 of max |x| on random inputs.
+eps^(4/5); L, the least 2^a 3^b 5^c >= 5n, holds the weight rho^L to eps. The
+aliased coefficients lie past the record, where every input sample moves them,
+so a larger weight lets later inputs reach x_k: at a weight of eps^(4/5)
+(L = 4n) they move it by up to 1.2e-11 of max |x| on random inputs.
 
 A delta input (tau_k = 0 for k > 0) skips the rfft: its spectrum is tau_0 at
 every node, which is also what the rfft gives in binary64. Inside
@@ -47,9 +47,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
-from .fractional import TimeSeries
+from .fractional import TimeSeries, _fast_len
 from .model import FoJeffreysParams, _transfer
 
 __all__ = [
@@ -286,7 +286,7 @@ def simulate(
     h = tau.step
     n = len(tau)
 
-    size = next_fast_len(5 * n, real=True)
+    size = _fast_len(5 * n)
     log_rho = math.log(np.finfo(float).eps) / (5 * n)
     damping = np.exp(np.arange(n) * log_rho)  # rho^k
 

@@ -1,3 +1,4 @@
+import codecs
 import math
 import tracemalloc
 from pathlib import Path
@@ -129,6 +130,35 @@ class TestRoundTrips:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+class TestByteOrderMark:
+    """Spreadsheet exports often start with a UTF-8 byte-order mark."""
+
+    @staticmethod
+    def marked(path):
+        copy = path.with_name("marked-" + path.name)
+        copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return copy
+
+    def test_frf(self, tmp_path, cylinder_params):
+        path = tmp_path / "frf.csv"
+        write_frf(make_synthetic_frf(cylinder_params), path)
+        plain, marked = read_frf(path), read_frf(self.marked(path))
+        assert marked.frequencies_hz.tobytes() == plain.frequencies_hz.tobytes()
+        assert marked.gains.tobytes() == plain.gains.tobytes()
+
+    def test_timeseries(self, tmp_path):
+        path = tmp_path / "ts.csv"
+        write_timeseries(TimeSeries(step=1e-3, samples=np.linspace(-1.0, 2.0, 50)), path)
+        plain, marked = read_timeseries(path), read_timeseries(self.marked(path))
+        assert marked.step == plain.step
+        assert marked.samples.tobytes() == plain.samples.tobytes()
+
+    def test_params(self, tmp_path, cylinder_params):
+        path = tmp_path / "params.csv"
+        write_lines(path, [f"{name},{value!r}" for name, value in vars(cylinder_params).items()])
+        assert read_params(self.marked(path)) == read_params(path) == cylinder_params
 
 
 class TestReadTimeseries:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special as sp
 
 from fojeffreys import (
@@ -11,6 +12,7 @@ from fojeffreys import (
     gl_differintegral,
     gl_weights,
 )
+from fojeffreys import fractional
 
 
 def weights_direct(order: float, i: np.ndarray) -> np.ndarray:
@@ -233,3 +235,25 @@ class TestDiracAnalytic:
     def test_domain_error(self, t):
         with pytest.raises(ValueError):
             dirac_differintegral_analytic(-1.0, t)
+
+
+class TestTransforms:
+    """numpy.fft at the sizes scipy.fft chose, which stays a test-only oracle."""
+
+    def test_fast_len_matches_scipy(self):
+        mismatched = [
+            n for n in range(1, 300_001)
+            if fractional._fast_len(n) != scipy.fft.next_fast_len(n, real=True)
+        ]
+        assert mismatched == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gl_differintegral_keeps_scipy_bits(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 50_000))
+        f = TimeSeries(step=10.0 ** rng.uniform(-4.0, -1.0), samples=rng.normal(size=n))
+        order = rng.uniform(-2.0, 2.0)
+        got = gl_differintegral(f, order).samples
+        monkeypatch.setattr(fractional, "rfft", scipy.fft.rfft)
+        monkeypatch.setattr(fractional, "irfft", scipy.fft.irfft)
+        assert got.tobytes() == gl_differintegral(f, order).samples.tobytes()

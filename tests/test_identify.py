@@ -209,6 +209,7 @@ class TestFitConfig:
             {"model_class": "XX"},
             {"max_iterations": 0},
             {"max_iterations": -1},
+            {"max_iterations": 2**31},  # beyond MINPACK's C int
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_triangular, toeplitz
 
 from fojeffreys import (
@@ -387,6 +387,25 @@ class TestSharedNodes:
         got = simulate(cylinder_params, tau).output.samples
         monkeypatch.setattr(simulate_module, "_input_spectrum", rfft)
         assert got.tobytes() == simulate(cylinder_params, tau).output.samples.tobytes()
+
+
+class TestTransforms:
+    """numpy.fft gives the bits the solve had with scipy.fft's transforms."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["impulse", "slope"])
+    def test_same_bits_as_scipy_fft(self, monkeypatch, kind, seed):
+        # An impulse takes the delta shortcut and a slope goes through rfft.
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, constrained=seed % 2 == 0)
+        step = 10.0 ** rng.uniform(-4.0, -2.0)
+        n = int(rng.integers(2, 40_001))
+        value = {"area" if kind == "impulse" else "rate": rng.uniform(0.1, 10.0)}
+        tau = generate_signal(SignalSpec(kind, (n - 1) * step, step, **value))
+        got = simulate(params, tau).output.samples
+        monkeypatch.setattr(simulate_module, "rfft", rfft)
+        monkeypatch.setattr(simulate_module, "irfft", irfft)
+        assert got.tobytes() == simulate(params, tau).output.samples.tobytes()
 
 
 class TestImpulseFinalValue:
