@@ -20,7 +20,6 @@ from .identify import (
     FrfDataset,
     ResidualReport,
     fit,
-    objective,
     residual_report,
 )
 from .model import (
@@ -70,7 +69,6 @@ __all__ = [
     "gl_differintegral",
     "gl_weights",
     "impulse_final_value",
-    "objective",
     "reduces_to_dashpot",
     "residual_report",
     "simulate",

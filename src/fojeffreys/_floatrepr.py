@@ -199,12 +199,10 @@ def _eight_digits(group):
     return np.take(_DIGITS, high.view(np.int64)) | np.take(_DIGITS_HIGH, low.view(np.int64))
 
 
-def text_cells(values, separators) -> np.ndarray:
-    """Cells of ``repr`` itself, one per value, each ending in its separator."""
+def text_cells(values) -> np.ndarray:
+    """Cells of ``repr`` itself, one per value."""
     text = b"".join(repr(v).encode().ljust(32, b"\0") for v in np.asarray(values, float).tolist())
-    cells = np.frombuffer(text, np.uint64).reshape(-1, 4).copy()
-    cells[:, 3] |= separators
-    return cells
+    return np.frombuffer(text, np.uint64).reshape(-1, 4)
 
 
 def cells(values: np.ndarray, separators: np.ndarray, grid=None) -> np.ndarray:
@@ -229,11 +227,8 @@ def cells(values: np.ndarray, separators: np.ndarray, grid=None) -> np.ndarray:
         digits[::columns] = stamp_digits
         e10[::columns] = stamp_e10
         ryu[::columns] &= ~known
-    if ryu.all():
-        digits, e10 = shortest(x)
-    else:
-        index = np.flatnonzero(ryu)
-        digits[index], e10[index] = shortest(x[index])
+    index = np.flatnonzero(ryu)
+    digits[index], e10[index] = shortest(x[index])
     # n digits (1 for 0) from the bit length b of float(digits): b*1233 >> 12
     # is n or n - 1. The float may round up to the next power of 2, which
     # has n digits too: no power of 10 lies that close below a power of 2.
@@ -263,6 +258,6 @@ def cells(values: np.ndarray, separators: np.ndarray, grid=None) -> np.ndarray:
     other = np.flatnonzero(~finite)
     if other.size:  # repr once per distinct value; its <= 24 bytes leave word 3 as it is
         distinct, index = np.unique(x[other].view(np.uint64), return_inverse=True)
-        text = text_cells(distinct.view(float), _U64(0))
+        text = text_cells(distinct.view(float))
         out.reshape(-1, 4)[other, :3] = text[index.ravel(), :3]
     return out

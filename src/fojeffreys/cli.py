@@ -2,8 +2,9 @@
 
 Outputs are plain tabular text for external plotting tools, plus a one-line
 JSON summary on stdout where a single result is produced. Exit codes: 0 on
-success, 2 for usage or validation errors, 3 for numerical divergence and 4
-when identification fails to converge (the incumbent is still written).
+success, 2 for usage or validation errors and for a record too large to
+allocate, 3 for numerical divergence and 4 when identification fails to
+converge (the incumbent is still written).
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
     except SimulationDivergedError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,16 +7,16 @@ are written with shortest round-trip formatting so read(write(x))
 reproduces x exactly. Tables are written in chunks of rows, with the same
 bytes as one whole-file string; files that share a first column, in one pass.
 
-Each value is written as the bytes of ``repr(float(v))``. A chunk that holds
-``_VECTOR_VALUES`` or more varying values is formatted by ``_floatrepr``, a
-port of Ryu's shortest-digit search (U. Adams, PLDI 2018) to numpy ``uint64``
-arrays with CPython's layout: row by row into 32-byte cells of text with NUL
-holes, which each file takes as its columns and strips of the NULs in one
-pass. A time column on a grid (as ``TimeSeries.times`` makes it) skips the
-search for most stamps: stamp k of step m*10^-p prints as k*m*10^-p. A
-smaller chunk goes through ``repr`` itself, so that a fit report (7 columns,
-up to 285 rows) never imports ``_floatrepr``; a column that repeats one value
-is formatted once.
+Each value is written as the bytes of ``repr(float(v))``. A table of
+``_VECTOR_VALUES`` values or more is formatted by ``_floatrepr``, a port of
+Ryu's shortest-digit search (U. Adams, PLDI 2018) to numpy ``uint64`` arrays
+with CPython's layout: one pass per chunk of ``_CHUNK_VALUES`` values, row by
+row into 32-byte cells of text with NUL holes, which each file takes as its
+columns and strips of the NULs in one pass. A time column on a grid (as
+``TimeSeries.times`` makes it) skips the search for most stamps: stamp k of
+step m*10^-p prints as k*m*10^-p. A smaller table goes through ``repr``
+itself, so that a fit report (7 columns, up to 285 rows) never imports
+``_floatrepr``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
 
 FRF_HEADER = "frequency_hz,magnitude_db,phase_deg"
 TIMESERIES_HEADER = "time_s,value"
-_CHUNK_ROWS = 4096  # rows formatted per pass; bounds the writers' peak memory
+_CHUNK_VALUES = 8192  # values formatted per pass; bounds the writers' peak memory
 _VECTOR_VALUES = 2000  # below it, repr: FRF-sized fit reports never import _floatrepr
 
 
@@ -72,38 +72,6 @@ def wrap_phase_deg(phase_deg):
     return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
-def _format_chunk(columns, separators, grid):
-    """The rows of a chunk of equal-length columns, as a function of the columns to join.
-
-    A column of one repeated value is formatted once. The others go through
-    ``_floatrepr`` in one pass if they hold ``_VECTOR_VALUES`` values or
-    more, else every column goes through ``repr``. ``grid`` = (k0, step)
-    says that column 0 holds grid stamps, as ``_floatrepr.cells`` takes it.
-    """
-    bits = [c.view(np.uint64) for c in columns]
-    varying = [j for j, b in enumerate(bits) if (b != b[0]).any()]
-    if len(varying) * len(bits[0]) < _VECTOR_VALUES:
-        text = [list(map(repr, c.tolist())) for c in columns]
-        return lambda indices: _join_text([text[j] for j in indices])
-    from . import _floatrepr  # loaded by the first long table only
-
-    grid = grid if varying[0] == 0 else None
-    values = np.stack([columns[j] for j in varying], axis=1)
-    cells = formatted = _floatrepr.cells(values, separators[varying], grid)
-    if len(varying) < len(columns):
-        repeated = [j for j in range(len(columns)) if j not in varying]
-        cells = np.empty((len(values), len(columns), 4), np.uint64)
-        cells[:, varying] = formatted
-        cells[:, repeated] = _floatrepr.text_cells(
-            [columns[j][0] for j in repeated], separators[repeated]
-        )
-    every = list(range(len(columns)))
-    return lambda indices: (
-        (cells if indices == every else np.take(cells, indices, axis=1))
-        .tobytes().translate(None, b"\0")
-    )
-
-
 def _join_text(columns) -> bytes:
     """CSV rows from equal-length lists of strings."""
     return ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
@@ -122,13 +90,14 @@ def _grid_step(first):
 def _write_tables(first_column, tables) -> None:
     """Write (header, columns, path) tables whose rows start with ``first_column``.
 
-    Rows go out ``_CHUNK_ROWS`` at a time, each chunk formatted in one pass,
-    the shared column once for all files. Values are written as the ``repr``
-    of a Python float: the shortest string that round-trips exactly, whatever
-    the locale; from ``_VECTOR_VALUES`` values a pass, by ``_floatrepr``,
-    which reads a grid first column (t_k == k * t_1 bit for bit, as
-    ``TimeSeries.times`` makes it) off its step. A path named twice gets the
-    last table. A table without columns of its own must be the only one.
+    Rows go out ``_CHUNK_VALUES`` values at a time, each chunk formatted in
+    one pass, the shared column once for all files. Values are written as the
+    ``repr`` of a Python float: the shortest string that round-trips exactly,
+    whatever the locale. A table of ``_VECTOR_VALUES`` values or more is
+    formatted by ``_floatrepr``, which reads a grid first column (t_k == k *
+    t_1 bit for bit, as ``TimeSeries.times`` makes it) off its step. A path
+    named twice gets the last table. A table without columns of its own must
+    be the only one.
     """
     first = np.asarray(first_column, dtype=float)
     by_file = {
@@ -142,6 +111,10 @@ def _write_tables(first_column, tables) -> None:
     columns = [first] + [c for _, table, _ in by_file.values() for c in table]
     separators = np.full(len(columns), ord(","), np.uint64) << np.uint64(56)
     step = _grid_step(first)
+    vector = len(first) * len(columns) >= _VECTOR_VALUES
+    if vector:
+        from . import _floatrepr  # loaded by the first long table only
+    rows = max(_CHUNK_VALUES // len(columns), 1)
     with contextlib.ExitStack() as stack:
         files, taken = [], 1
         for header, table, path in by_file.values():
@@ -151,11 +124,17 @@ def _write_tables(first_column, tables) -> None:
             separators[indices[-1]] = np.uint64(ord("\n")) << np.uint64(56)  # the row's end
             files.append((file, indices))
             taken += len(table)
-        for start in range(0, len(first), _CHUNK_ROWS):
-            chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
-            join = _format_chunk(chunk, separators, None if step is None else (start, step))
-            for file, indices in files:
-                file.write(join(indices))
+        for start in range(0, len(first), rows):
+            chunk = [c[start:start + rows] for c in columns]
+            if vector:
+                grid = None if step is None else (start, step)
+                cells = _floatrepr.cells(np.stack(chunk, axis=1), separators, grid)
+                for file, indices in files:
+                    file.write(np.take(cells, indices, axis=1).tobytes().translate(None, b"\0"))
+            else:
+                text = [list(map(repr, c.tolist())) for c in chunk]
+                for file, indices in files:
+                    file.write(_join_text([text[j] for j in indices]))
 
 
 def write_columns(header: str, columns, path) -> None:

@@ -28,7 +28,6 @@ __all__ = [
     "FrfDataset",
     "ResidualReport",
     "fit",
-    "objective",
     "residual_report",
 ]
 
@@ -200,16 +199,6 @@ def residual_report(params: FoJeffreysParams, data: FrfDataset) -> ResidualRepor
     for column in computed:
         column.flags.writeable = False
     return ResidualReport(data.frequencies_hz, data_db, data_deg, *computed)
-
-
-def objective(params: FoJeffreysParams, data: FrfDataset) -> float:
-    """Equal-weight dB/degree squared-error objective.
-
-    Sums ``(model_dB - data_dB)^2 + (model_deg - data_deg)^2`` over all
-    points, with both phase curves continuous across the sweep before
-    differencing.
-    """
-    return residual_report(params, data).sum_squared
 
 
 def _logit(x: float) -> float:

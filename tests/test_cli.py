@@ -679,3 +679,35 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
         assert code == 2
     assert len(built) == 1
     assert build() is not build()
+
+
+ALLOCATION_REFUSED = (
+    "Unable to allocate 74.5 GiB for an array with shape (10000000001,) and data type float64"
+)
+
+
+def refuse_allocation(*args, **kwargs):
+    raise MemoryError(ALLOCATION_REFUSED)
+
+
+@pytest.mark.parametrize("command", ["simulate", "impulse-study", "fit"])
+def test_record_too_large_to_allocate_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # A 1e7 s record at 1e-3 needs 74.5 GiB per array. The refusal is stood
+    # in for, not provoked: where the kernel overcommits, such an allocation
+    # succeeds and the process is killed later, which no handler can catch.
+    frf = tmp_path / "frf.csv"
+    write_frf_rows(np.geomspace(0.005, 1.6, 20), np.zeros(20), np.full(20, -90.0), frf)
+    monkeypatch.setattr(fojeffreys.cli, "generate_signal", refuse_allocation)
+    monkeypatch.setattr(fojeffreys.cli, "fit", refuse_allocation)
+    record = ["--duration", "1e7", "--step", "1e-3"]
+    argv = {
+        "simulate": ["simulate", *CYL_FLAGS, "--signal", "impulse", "--area", "1", *record,
+                     "--out-input", str(tmp_path / "tau.csv"),
+                     "--out-output", str(tmp_path / "x.csv")],
+        "impulse-study": ["impulse-study", *CYL_FLAGS, "--gammas", "0.9,1", *record,
+                          "--out", str(tmp_path / "study.csv")],
+        "fit": ["fit", "--frf", str(frf), "--report", str(tmp_path / "report.csv")],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {ALLOCATION_REFUSED}\n"

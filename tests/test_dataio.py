@@ -19,7 +19,7 @@ from fojeffreys.dataio import (
     wrap_phase_deg,
     write_fit_report,
     write_frf,
-    _CHUNK_ROWS,
+    _CHUNK_VALUES,
     _VECTOR_VALUES,
     _write_tables,
     write_columns,
@@ -498,14 +498,14 @@ class TestGridStamps:
     """Stamps k * t_1 of a grid take their digits from t_1's repr, not from Ryu."""
 
     @staticmethod
-    def stamps(k0, step, n=_CHUNK_ROWS):
+    def stamps(k0, step, n=_CHUNK_VALUES // 2):
         # The rows k0 .. k0 + n - 1 of TimeSeries.times, which is arange(n) * step.
         return np.arange(k0, k0 + n) * step
 
     @pytest.mark.parametrize(
         "step", [1e-3, 2e-4, 0.0015, 1.0 / 3.0, 1e-5, 2.5e-7, 1e-20, 12345.678, 1e-22, 3e-23]
     )
-    @pytest.mark.parametrize("k0", [0, _CHUNK_ROWS, 10**6, 10**12 + 7])
+    @pytest.mark.parametrize("k0", [0, _CHUNK_VALUES // 2, 10**6, 10**12 + 7])
     def test_matches_repr(self, step, k0):
         t = self.stamps(k0, step)
         assert vector_repr(t, grid=(k0, step)) == [repr(v) for v in t.tolist()]
@@ -572,10 +572,11 @@ def draw_samples(rng, kind: str, n: int) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["normal", "bits", "wide"])
 @pytest.mark.parametrize("step", STEPS)
 def test_grid_tables_match_one_string_writer(tmp_path, step, kind):
-    # A pair on one grid and a four-column table: the first chunk takes the
-    # vector path with grid stamps, the last 500 rows the repr path.
+    # A pair on one grid and a four-column table, both on the vector path
+    # with grid stamps: the pair's chunks hold 2730 rows and the table's
+    # 2048, so each ends in a short chunk.
     rng = np.random.default_rng(STEPS.index(step) * 3 + ["normal", "bits", "wide"].index(kind))
-    n = _CHUNK_ROWS + 500
+    n = _CHUNK_VALUES // 2 + 500
     first = TimeSeries(step=step, samples=draw_samples(rng, kind, n))
     second = TimeSeries(step=step, samples=draw_samples(rng, kind, n))
     write_timeseries(first, tmp_path / "a.csv", (second, tmp_path / "b.csv"))
@@ -594,7 +595,8 @@ class TestChunkedWriter:
     @pytest.mark.parametrize(
         "n_rows",
         [0, 1, _VECTOR_VALUES // 2 - 1, _VECTOR_VALUES // 2, _VECTOR_VALUES,
-         _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1],
+         _CHUNK_VALUES // 7 - 1, _CHUNK_VALUES // 7, _CHUNK_VALUES // 7 + 1,
+         _CHUNK_VALUES // 2 - 1, _CHUNK_VALUES // 2, _CHUNK_VALUES // 2 + 1],
     )
     @pytest.mark.parametrize("n_columns", [2, 7])
     def test_bytes_match_one_string_writer(self, tmp_path, n_rows, n_columns):
@@ -612,8 +614,9 @@ class TestChunkedWriter:
         assert (tmp_path / "chunked.csv").read_bytes() == expected
 
     def test_repeated_columns_match_one_string_writer(self, tmp_path):
-        # A column that repeats one value, bit for bit, is formatted once.
-        # 0.0 == -0.0 although they print differently, and nan != nan.
+        # Constant, -0.0, nan and inf columns take the one vector pass with
+        # the time column. 0.0 == -0.0 although they print differently, and
+        # nan != nan.
         n = _VECTOR_VALUES
         columns = [
             np.arange(n) * 1e-3,
@@ -630,8 +633,8 @@ class TestChunkedWriter:
         assert (tmp_path / "chunked.csv").read_bytes() == expected
 
     def test_peak_memory_is_bounded(self, tmp_path):
-        # Per chunk the vector path holds a few dozen arrays of 3 * 4096
-        # values; what grows with n is the 8-byte time array.
+        # Per chunk the vector path holds a few dozen arrays of about
+        # _CHUNK_VALUES values; what grows with n is the 8-byte time array.
         rng = np.random.default_rng(5)
         tau = TimeSeries(step=1e-3, samples=rng.standard_normal(40_001))
         x = TimeSeries(step=1e-3, samples=rng.standard_normal(40_001))
@@ -650,7 +653,7 @@ class TestChunkedWriter:
         assert rows[:4] == ["-0.0,-0.0", "5e-324,5e-324", "1e+16,1e+16", "1e-05,1e-05"]
 
     def test_shared_time_column_matches_single_writes(self, tmp_path):
-        n = _CHUNK_ROWS + 3
+        n = _CHUNK_VALUES // 2 + 3
         first = TimeSeries(step=1e-3, samples=np.sin(np.arange(n)))
         second = TimeSeries(step=1e-3, samples=np.cos(np.arange(n)) * 1e-6)
         write_timeseries(first, tmp_path / "a.csv", (second, tmp_path / "b.csv"))

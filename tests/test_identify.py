@@ -14,7 +14,6 @@ from fojeffreys import (
     FrfDataset,
     fit,
     freq_response,
-    objective,
     residual_report,
     validate,
 )
@@ -85,7 +84,7 @@ class TestFrfDataset:
 class TestObjective:
     def test_zero_for_generating_parameters(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
-        assert objective(cylinder_params, data) == 0.0
+        assert residual_report(cylinder_params, data).sum_squared == 0.0
 
     def test_doubled_gain_shifts_magnitude_only(self, cylinder_params):
         # mu is a real gain: doubling it moves every point by -6.0206 dB and
@@ -99,9 +98,8 @@ class TestObjective:
             beta=cylinder_params.beta,
             gamma=cylinder_params.gamma,
         )
-        total = objective(doubled, data)
-        assert math.isclose(total, len(data) * DB_FOR_DOUBLED_GAIN, rel_tol=1e-12)
         report = residual_report(doubled, data)
+        assert math.isclose(report.sum_squared, len(data) * DB_FOR_DOUBLED_GAIN, rel_tol=1e-12)
         np.testing.assert_allclose(report.residual_db, -20.0 * math.log10(2.0))
         np.testing.assert_allclose(report.residual_deg, 0.0, atol=1e-12)
 
@@ -111,7 +109,9 @@ class TestObjective:
             frequencies_hz=data.frequencies_hz,
             gains=data.gains * np.exp(1j * math.radians(1.0)),
         )
-        assert math.isclose(objective(cylinder_params, shifted), 10.0, rel_tol=1e-9)
+        assert math.isclose(
+            residual_report(cylinder_params, shifted).sum_squared, 10.0, rel_tol=1e-9
+        )
 
 
 class TestResidualReport:
@@ -120,14 +120,6 @@ class TestResidualReport:
         report = residual_report(cylinder_params, data)
         np.testing.assert_allclose(report.residual_db, 0.0, atol=1e-12)
         np.testing.assert_allclose(report.residual_deg, 0.0, atol=1e-12)
-
-    def test_sum_squared_equals_objective(self, cylinder_params):
-        data = make_synthetic_frf(cylinder_params)
-        perturbed = perturbed_guess(cylinder_params, seed=5)
-        report = residual_report(perturbed, data)
-        assert report.sum_squared == objective(perturbed, data)
-        total = np.sum(report.residual_db**2) + np.sum(report.residual_deg**2)
-        assert math.isclose(report.sum_squared, total, rel_tol=1e-12)
 
     def test_perturbed_model_has_positive_residuals(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
@@ -190,7 +182,7 @@ class TestPhaseBranch:
         reference = np.sum(report.residual_db**2) + np.sum(
             (reference_deg - data.phase_deg_unwrapped) ** 2
         )
-        assert math.isclose(objective(params, data), reference, rel_tol=1e-12)
+        assert math.isclose(report.sum_squared, reference, rel_tol=1e-12)
 
     def test_sweep_without_crossing_is_bit_identical(self, cylinder_params):
         data = add_frf_noise(
@@ -513,7 +505,7 @@ class TestFit:
         incumbent = excinfo.value.result
         assert incumbent.converged is False
         assert incumbent.objective < 1e-12  # the grid start's optimum
-        assert incumbent.objective < objective(guess, data)
+        assert incumbent.objective < residual_report(guess, data).sum_squared
         assert validate(incumbent.params) == []
 
     def test_per_point_residuals_consistent(self, cylinder_params):

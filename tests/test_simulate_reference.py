@@ -7,7 +7,12 @@ discretisation, so it cannot see the O(h) error of the scheme.
 
 ``talbot_response`` is the exact response x = L^-1[G(s) tau_hat(s)] at one
 t > 0, by Talbot inversion on the Weideman-Trefethen contour (Math. Comp. 76,
-2007), independent of every discretisation in time.
+2007), independent of every discretisation in time. Its contour misses the
+cylinder's poles after about 2 s.
+
+``mittag_leffler_response`` is the exact response for alpha = beta and
+gamma = 1 at any t > 0, in closed form through the Mittag-Leffler function,
+evaluated on the real line.
 """
 
 import math
@@ -15,6 +20,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fojeffreys import (
     FoJeffreysParams,
@@ -254,6 +260,106 @@ def test_first_order_error_against_talbot(params, kind, magnitude, input_power):
         errors.append(np.max(np.abs(x[np.rint(times / h).astype(int)] - exact)))
     assert errors[0] < 5e-3 * np.max(np.abs(exact)), errors
     assert 1.8 <= errors[0] / errors[1] <= 2.2, errors
+
+
+def _decay_integral(r: float, t: float, k: int) -> float:
+    """The k-fold integral of e^(-r u) from 0 to t, k = 0, 1, 2, without cancellation."""
+    x = r * t
+    if k == 0:
+        return math.exp(-x)
+    if k == 1:
+        return -math.expm1(-x) / r if x > 0.0 else t
+    if x < 1e-3:  # (x - 1 + e^-x) / r^2 by its series
+        return t * t * (0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0)
+    return (x + math.expm1(-x)) / (r * r)
+
+
+def mittag_leffler_response(params: FoJeffreysParams, input_power: int, t: float) -> float:
+    """x(t) for alpha = beta, gamma = 1: impulse 0, unit step 1, unit ramp 2.
+
+    With a = 1/lambda2 and c = 1 - lambda1/lambda2, G = (1/s - c a /
+    (s (s^alpha + a))) / mu, so the impulse response is (1 - c E(t)) / mu
+    with E(t) = E_alpha(-a t^alpha); a step or ramp integrates E once or
+    twice. For 0 < alpha < 2, E(t) = int_0^inf e^(-r t) K(r) dr + P(t)
+    (Gorenflo & Mainardi 1997), K(r) = a r^(alpha - 1) sin(alpha pi) /
+    (pi (r^(2 alpha) + 2 a r^alpha cos(alpha pi) + a^2)), and P, the residue
+    of the poles s = a^(1/alpha) e^(+-i pi/alpha), is 0 for alpha <= 1. K
+    peaks at r = a^(1/alpha), sharply near alpha = 1, so quad splits there.
+    At alpha = 1, E(t) = e^(-a t).
+    """
+    alpha, a = params.alpha, 1.0 / params.lambda2
+    c = 1.0 - params.lambda1 / params.lambda2
+    peak = a ** (1.0 / alpha)
+    if alpha == 1.0:
+        e = _decay_integral(a, t, input_power)
+    else:
+        sin, cos = math.sin(alpha * math.pi), math.cos(alpha * math.pi)
+
+        def integrand(r):
+            ra = r**alpha
+            kernel = a * ra / r * sin / (math.pi * (ra * ra + 2.0 * a * ra * cos + a * a))
+            return kernel * _decay_integral(r, t, input_power)
+
+        e = sum(
+            quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in ((0.0, peak), (peak, math.inf))
+        )
+    if alpha > 1.0:
+        z = peak * complex(math.cos(math.pi / alpha), math.sin(math.pi / alpha))
+        ezt = np.exp(z * t)
+        pole = (ezt, (ezt - 1.0) / z, (ezt - 1.0 - z * t) / z**2)[input_power]
+        e += 2.0 / alpha * pole.real
+    return (t**input_power / math.factorial(input_power) - c * e) / params.mu
+
+
+def test_mittag_leffler_oracle_matches_reference_values():
+    # The de Hoog values pinned for the Talbot oracle, to their 10 decimals.
+    params = _params()
+    expected = [1.0572215129, 1.2368650381, 0.9588861134, 1.0004174097]
+    for t, value in zip([0.25, 0.5, 1.0, 2.0], expected):
+        assert abs(params.mu * mittag_leffler_response(params, 0, t) - value) <= 5e-11
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.99, 1.01, 1.3, 1.571])
+@pytest.mark.parametrize("input_power", [0, 1, 2])
+def test_mittag_leffler_oracle_matches_talbot(alpha, input_power):
+    # Two independent inversions of one G agree wherever the Talbot contour
+    # encloses the poles; 0.99 and 1.01 put K's peak next to a near-pole.
+    params = _params(alpha=alpha, beta=alpha)
+    times = [0.05, 0.25, 0.5, 1.0, 1.5, 2.0]
+    assert all(encloses_poles(params, t) for t in times)
+    oracle = np.array([mittag_leffler_response(params, input_power, t) for t in times])
+    talbot = np.array([talbot_response(params, input_power, t) for t in times])
+    assert np.max(np.abs(oracle - talbot)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0, 1.3, 1.571, 1.9])
+@pytest.mark.parametrize(
+    "kind, magnitude, input_power",
+    [("impulse", "area", 0), ("step", "amplitude", 1), ("slope", "rate", 2)],
+)
+def test_first_order_error_against_mittag_leffler(alpha, kind, magnitude, input_power):
+    # Over a 20 s record, past where the Talbot contour holds: the GL error
+    # stays below 1e-2 of the response's peak at h = 1e-3, and it halves
+    # with h at every checked t where it is above rounding (1e-12 of the
+    # peak; the alpha = 1 impulse response settles by t = 2 s). At alpha =
+    # 1.9 the poles decay as e^(-0.56 t), so their ringing lasts the record.
+    params = _params(alpha=alpha, beta=alpha)
+    times = np.array([0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0])
+    exact = np.array([mittag_leffler_response(params, input_power, t) for t in times])
+    errors = []
+    for h in (1e-3, 5e-4):
+        signal = generate_signal(
+            SignalSpec(kind=kind, duration=20.0, step=h, **{magnitude: 1.0})
+        )
+        x = simulate(params, signal).output.samples
+        errors.append(np.abs(x[np.rint(times / h).astype(int)] - exact))
+    scale = np.max(np.abs(exact))
+    assert np.max(errors[0]) < 1e-2 * scale, errors[0]
+    above_rounding = errors[0] > 1e-12 * scale
+    assert above_rounding[:3].all()
+    ratios = errors[0][above_rounding] / errors[1][above_rounding]
+    assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
 
 
 def test_slope_response_meets_two_term_ramp_asymptote():
