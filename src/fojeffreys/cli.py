@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
@@ -24,7 +25,6 @@ from .model import FoJeffreysParams, freq_response, validate
 from .simulate import (
     SignalSpec,
     SimulationDivergedError,
-    _sharing_nodes,
     classify_late_trend,
     generate_signal,
     simulate,
@@ -125,18 +125,18 @@ def _trend_summary(series) -> dict:
 
 def _cmd_freqresp(args) -> int:
     params = _resolve_params(args)
-    if not math.isfinite(args.f_min) or not 0.0 < args.f_min < args.f_max:
-        raise ValueError(f"need 0 < f_min < f_max, got [{args.f_min}, {args.f_max}]")
+    if not 0.0 < args.f_min < args.f_max < math.inf:
+        raise ValueError(f"need 0 < f_min < f_max < inf, got [{args.f_min}, {args.f_max}]")
     if args.n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {args.n_points}")
     freqs = np.geomspace(args.f_min, args.f_max, args.n_points)
-    gains = freq_response(params, 2.0 * math.pi * freqs)
-    dataio.write_frf_rows(
-        freqs,
-        20.0 * np.log10(np.abs(gains)),
-        dataio.wrap_phase_deg(np.degrees(np.angle(gains))),
-        args.out,
-    )
+    with np.errstate(all="ignore"):  # a gain beyond binary64 is refused below
+        gains = freq_response(params, 2.0 * math.pi * freqs)
+        db, phase = 20.0 * np.log10(np.abs(gains)), np.degrees(np.angle(gains))
+        bad = ~np.isfinite(db + phase)
+    if bad.any():
+        raise ValueError(f"gain at {freqs[bad][0]:g} Hz is not finite in dB and degrees")
+    dataio.write_frf_rows(freqs, db, dataio.wrap_phase_deg(phase), args.out)
     print(json.dumps({"points": int(args.n_points), "out": args.out}, sort_keys=True))
     return EXIT_OK
 
@@ -200,13 +200,13 @@ def _cmd_impulse_study(args) -> int:
     signal = generate_signal(spec)
     limit = _impulse_limit(spec, base)
 
+    # ``fojeffreys.simulate`` names the function, so importlib gives the module.
+    solver = importlib.import_module(".simulate", __package__)
     columns = [signal.times]
-    with _sharing_nodes():  # the orders share one contour's ln s and s^alpha
-        for params in studies:
-            result = simulate(params, signal, divergence_limit=limit)
-            columns.append(result.output.samples)
-            summary = {"gamma": params.gamma, **_trend_summary(result.output)}
-            print(json.dumps(summary, sort_keys=True))
+    for result in solver._solve(studies, signal, limit):
+        columns.append(result.output.samples)
+        summary = {"gamma": result.params.gamma, **_trend_summary(result.output)}
+        print(json.dumps(summary, sort_keys=True))
 
     dataio.write_columns(",".join(["time_s", *labels]), columns, args.out)
     return EXIT_OK

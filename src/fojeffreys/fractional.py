@@ -176,7 +176,8 @@ def dirac_differintegral_analytic(eta: float, t: float) -> float:
 
     Evaluates ``t^(-eta-1) / Gamma(-eta)`` for t > 0. For eta = -1 (plain
     integration) the value is identically one; for -1 < eta < 0 it decays to
-    zero and for eta < -1 it grows without bound as t increases.
+    zero and for eta < -1 it grows without bound as t increases. Where
+    t^(-eta-1) overflows, the value is the infinity of Gamma(-eta)'s sign.
 
     Raises
     ------
@@ -188,4 +189,5 @@ def dirac_differintegral_analytic(eta: float, t: float) -> float:
     if not math.isfinite(t) or t <= 0.0:
         raise ValueError(f"dirac differintegral requires t > 0, got {t}")
     gamma = gamma_fn(-eta)  # raises at a pole before the power can overflow there
-    return t ** (-eta - 1.0) / gamma
+    with np.errstate(over="ignore"):  # a power beyond binary64 is inf
+        return float(np.float64(t) ** (-eta - 1.0) / gamma)

@@ -86,6 +86,33 @@ class TestFreqresp:
         assert code == 2
         assert "f_min" in err
 
+    def test_infinite_f_max_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "freqresp", *CYL_FLAGS,
+            "--f-min", "1", "--f-max", "inf",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error: need 0 < f_min < f_max < inf")
+
+    @pytest.mark.parametrize(
+        "band", [("1e-320", "1"), ("0.005", "1e300")], ids=["inf-db", "minus-inf-db"]
+    )
+    def test_non_finite_gain_is_usage_error(self, tmp_path, capsys, band):
+        # |G| overflows at the low end and underflows to 0 at the high end;
+        # the file would hold a row that `fit --frf` refuses.
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys,
+            "freqresp", *CYL_FLAGS,
+            "--f-min", band[0], "--f-max", band[1], "--n-points", "5",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "not finite" in err
+        assert stdout == "" and not out.exists()
+
     def test_two_point_sweep_is_writable(self, tmp_path, capsys):
         # short sweeps are legal output; only dataset-level reads need >= 4
         out = tmp_path / "two.csv"
@@ -207,6 +234,35 @@ class TestSimulate:
         )
         assert code == 2
         assert "grid too coarse" in err
+
+    @pytest.mark.parametrize(
+        "grid", [("2.5", "1e-310"), ("1e300", "1e-10")], ids=["subnormal-step", "long"]
+    )
+    def test_sample_count_overflow_is_usage_error(self, tmp_path, capsys, grid):
+        code, stdout, err = run(
+            capsys,
+            "simulate", *CYL_FLAGS,
+            "--signal", "impulse", "--area", "1",
+            "--duration", grid[0], "--step", grid[1],
+            "--out-input", str(tmp_path / "tau.csv"),
+            "--out-output", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "overflows the sample count" in err
+        assert stdout == "" and not any(tmp_path.iterdir())
+
+    def test_zero_area_impulse_meets_zero_limit(self, tmp_path, capsys):
+        # The divergence limit scales with the area, so a zero area gives 0.
+        code, out, _ = run(
+            capsys,
+            "simulate", *CYL_FLAGS,
+            "--signal", "impulse", "--area", "0",
+            "--duration", "0.1", "--step", "1e-2",
+            "--out-input", str(tmp_path / "tau.csv"),
+            "--out-output", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        assert json.loads(out)["final_value"] == 0.0
 
     def test_missing_signal_field(self, tmp_path, capsys):
         code, _, err = run(
@@ -489,13 +545,16 @@ class TestImpulseStudy:
     def test_file_bytes_pinned(self, tmp_path, capsys, monkeypatch):
         # A stand-in solver with fixed outputs isolates the file format from
         # the solver's rounding.
-        def fake_simulate(params, signal, divergence_limit=None):
+        def fake_solve(param_sets, signal, divergence_limit):
             k = np.arange(len(signal))
-            samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
-            output = TimeSeries(step=signal.step, samples=samples)
-            return SimulationResult(signal, output, params)
+            for params in param_sets:
+                samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
+                output = TimeSeries(step=signal.step, samples=samples)
+                yield SimulationResult(signal, output, params)
 
-        monkeypatch.setattr(fojeffreys.cli, "simulate", fake_simulate)
+        # The package exports the function under the module's name.
+        solver = importlib.import_module("fojeffreys.simulate")
+        monkeypatch.setattr(solver, "_solve", fake_solve)
         out_file = tmp_path / "study.csv"
         code, _, _ = run(
             capsys,
@@ -553,6 +612,19 @@ class TestImpulseStudy:
         assert [json.loads(line)["gamma"] for line in out.splitlines()] == [0.9]
         assert err == "divergence: output magnitude exceeded 1e+12 at sample index 1\n"
         assert not out_file.exists()
+
+    def test_sample_count_overflow_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        code, stdout, err = run(
+            capsys,
+            "impulse-study", *CYL_FLAGS,
+            "--gammas", "0.9,1",
+            "--duration", "2.5", "--step", "1e-310",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "overflows the sample count" in err
+        assert stdout == "" and not out.exists()
 
     def test_out_of_bounds_gamma(self, tmp_path, capsys):
         # Every order is checked before the first solve prints a summary.

@@ -226,6 +226,14 @@ class TestDiracAnalytic:
             -1.5, 1.0
         )
 
+    @pytest.mark.parametrize(
+        ("eta", "t", "expected"),
+        [(-3.0, 1e300, math.inf), (0.5, 1e-300, -math.inf), (1.5, 1e-300, math.inf)],
+    )
+    def test_overflow_gives_the_signed_infinity(self, eta, t, expected):
+        # t^(-eta-1) passes the largest double; the sign is Gamma(-eta)'s.
+        assert dirac_differintegral_analytic(eta, t) == expected
+
     @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
     def test_pole_orders_rejected(self, eta):
         with pytest.raises(ValueError):

@@ -87,6 +87,9 @@ class TestGenerateSignal:
                 "frequency": -2.0,
             },
             {"kind": "slope", "duration": 1.0, "step": 0.1, "rate": math.nan},
+            # duration/step overflows the sample count
+            {"kind": "impulse", "duration": 2.5, "step": 1e-310, "area": 1.0},
+            {"kind": "step", "duration": 1e300, "step": 1e-10, "amplitude": 1.0},
         ],
     )
     def test_invalid_specs(self, kwargs):
@@ -179,6 +182,21 @@ class TestSimulate:
         with pytest.raises(SimulationDivergedError) as excinfo:
             simulate(cylinder_params, signal, divergence_limit=1e-9)
         assert 0 <= excinfo.value.sample_index < len(signal)
+
+    @pytest.mark.parametrize("limit", [math.nan, -1.0, -math.inf])
+    def test_divergence_limit_must_be_non_negative(self, cylinder_params, limit):
+        # NaN would switch the check off, and -1 would report sample 0.
+        signal = TimeSeries(step=1e-3, samples=np.ones(10))
+        with pytest.raises(ValueError, match="divergence limit"):
+            simulate(cylinder_params, signal, divergence_limit=limit)
+
+    def test_zero_and_infinite_limits_are_admitted(self, cylinder_params):
+        # A zero input stays within a zero limit; no output passes inf.
+        zero = TimeSeries(step=1e-3, samples=np.zeros(10))
+        assert not simulate(cylinder_params, zero, divergence_limit=0.0).output.samples.any()
+        signal = TimeSeries(step=1e-3, samples=np.ones(10))
+        got = simulate(cylinder_params, signal, divergence_limit=math.inf).output.samples
+        assert got.tobytes() == simulate(cylinder_params, signal).output.samples.tobytes()
 
     def test_slope_input_lags_dashpot_with_algebraic_settling(self, cylinder_params):
         # The ratio to the pure dashpot starts near lambda1/lambda2 and creeps
@@ -305,7 +323,7 @@ class TestCausality:
 
 
 class TestSharedNodes:
-    """simulate calls inside ``_sharing_nodes`` reuse ln s, s^alpha and s^beta."""
+    """Parameter sets solved together share ln s, s^alpha and s^beta."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_simulate_bit_for_bit(self, monkeypatch, seed):
@@ -326,45 +344,14 @@ class TestSharedNodes:
         monkeypatch.setattr(
             simulate_module, "_power", lambda p, *a: powers.append(p) or power(p, *a)
         )
-        with simulate_module._sharing_nodes():
-            shared = [simulate(params, tau).output.samples for params in param_sets]
+        results = list(simulate_module._solve(param_sets, tau, None))
+        assert [r.params for r in results] == param_sets
+        shared = [r.output.samples for r in results]
         assert [x.tobytes() for x in shared] == [x.tobytes() for x in alone]
-        # Only the first call takes s^alpha (and s^beta); each takes its s^gamma.
+        # s^alpha (and s^beta) once per block; each set takes its s^gamma.
         blocks = -(-(next_fast_len(5 * n, real=True) // 2 + 1) // simulate_module._NODE_CHUNK)
         assert len(powers) == blocks * (len(param_sets) + len({base.alpha, base.beta}))
         assert set(powers) == {base.alpha, base.beta} | {p.gamma for p in param_sets}
-
-    def test_nodes_follow_the_grid_and_orders(self, cylinder_params):
-        # Each call changes one of step, length, alpha and beta from the call
-        # before, and takes its own nodes; the last but one changes only gamma,
-        # mu and lambda1, and the last returns to the first contour.
-        rng = np.random.default_rng(7)
-        tau = TimeSeries(step=1e-3, samples=rng.normal(size=500))
-        shorter = TimeSeries(step=1e-3, samples=tau.samples[:499])
-        other_alpha = replace(cylinder_params, alpha=0.6)
-        other_beta = replace(other_alpha, beta=0.6)
-        cases = [
-            (cylinder_params, tau),
-            (cylinder_params, TimeSeries(step=2e-3, samples=tau.samples)),
-            (cylinder_params, shorter),
-            (other_alpha, shorter),
-            (other_beta, shorter),
-            (replace(other_beta, gamma=0.7, mu=1e3, lambda1=1e-4), shorter),
-            (cylinder_params, tau),
-        ]
-        with simulate_module._sharing_nodes():
-            shared = [simulate(params, series).output.samples for params, series in cases]
-        alone = [simulate(params, series).output.samples for params, series in cases]
-        assert [x.tobytes() for x in shared] == [x.tobytes() for x in alone]
-
-    def test_nodes_are_dropped_when_the_block_ends(self, cylinder_params):
-        tau = TimeSeries(step=1e-3, samples=np.ones(10))
-        with pytest.raises(RuntimeError):
-            with simulate_module._sharing_nodes():
-                simulate(cylinder_params, tau)
-                assert len(simulate_module._shared_nodes.get()) == 1
-                raise RuntimeError
-        assert simulate_module._shared_nodes.get() is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 2501])
     @pytest.mark.parametrize(
@@ -568,18 +555,19 @@ def test_long_simulation_peak_memory(cylinder_params):
 
 def test_shared_nodes_peak_memory_does_not_grow_with_the_calls(cylinder_params):
     # One contour's ln|s|, arg s and s^alpha on L/2 + 1 = 100k nodes (3.05 MiB)
-    # next to one call's own peak: about 6.8 MiB, for 3 calls as for 12. The
-    # outputs are dropped, so only the solver's memory counts.
+    # next to one set's own peak and the output the solve holds until the
+    # next set: about 7.1 MiB, for 3 sets as for 12. The caller drops each
+    # output, so only the solver's memory counts.
     signal = generate_signal(
         SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
     )
 
     def peak(calls: int) -> int:
+        param_sets = [replace(cylinder_params, gamma=g) for g in np.linspace(0.5, 1.5, calls)]
         tracemalloc.start()
         try:
-            with simulate_module._sharing_nodes():
-                for g in np.linspace(0.5, 1.5, calls):
-                    simulate(replace(cylinder_params, gamma=g), signal)
+            for result in simulate_module._solve(param_sets, signal, None):
+                del result
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
