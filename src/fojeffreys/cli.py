@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import math
 import sys
@@ -200,12 +199,11 @@ def _cmd_impulse_study(args) -> int:
     signal = generate_signal(spec)
     limit = _impulse_limit(spec, base)
 
-    # ``fojeffreys.simulate`` names the function, so importlib gives the module.
-    solver = importlib.import_module(".simulate", __package__)
     columns = [signal.times]
-    for result in solver._solve(studies, signal, limit):
+    for params in studies:
+        result = simulate(params, signal, divergence_limit=limit)
         columns.append(result.output.samples)
-        summary = {"gamma": result.params.gamma, **_trend_summary(result.output)}
+        summary = {"gamma": params.gamma, **_trend_summary(result.output)}
         print(json.dumps(summary, sort_keys=True))
 
     dataio.write_columns(",".join(["time_s", *labels]), columns, args.out)

@@ -26,11 +26,10 @@ so a larger weight lets later inputs reach x_k: at a weight of eps^(4/5)
 (L = 4n) they move it by up to 1.2e-11 of max |x| on random inputs.
 
 A delta input (tau_k = 0 for k > 0) skips the rfft: its spectrum is tau_0 at
-every node, which is also what the rfft gives in binary64. Parameter sets
-that share alpha and beta share the contour: ``_solve`` takes ln s, s^alpha
-and s^beta once for all of them and adds per set only s^gamma, G and the
-irfft; ``impulse-study`` solves its orders so, and ``simulate`` is the solve
-of one set.
+every node, which is also what the rfft gives in binary64. The nodes are
+formed in blocks and dropped with them, so no call holds the whole contour,
+and none keeps anything for the next: ``impulse-study`` solves each of its
+orders with its own ``simulate`` call.
 
 The rule holds for every admitted parameter set: with orders in (0, 2),
 which ``model._require_order`` enforces, the poles of 1/(1 + lambda2*s^alpha)
@@ -42,7 +41,7 @@ zeta = 1 lies outside the circle |zeta| = rho.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,10 +167,10 @@ def _power(p: float, log_mod: np.ndarray, arg: np.ndarray) -> np.ndarray:
 
 
 def _input_spectrum(u: np.ndarray, size: int) -> np.ndarray:
-    """rfft(u, size); a delta u = (u_0, 0, ..., 0) gives a read-only u_0 at every node."""
+    """rfft(u, size); a delta u = (u_0, 0, ..., 0) gives u_0 at every node."""
     if u[1:].any():
         return rfft(u, size)
-    return np.broadcast_to(np.complex128(u[0]), (size // 2 + 1,))
+    return np.full(size // 2 + 1, u[0], dtype=complex)
 
 
 def _node_blocks(
@@ -201,64 +200,16 @@ def _node_blocks(
         yield start, stop, log_mod, arg, s_alpha, s_beta
 
 
-def _times_transfer(spectrum: np.ndarray, params: FoJeffreysParams, blocks) -> None:
-    """Multiply ``spectrum[l]`` in place by G(s_l) over ``_node_blocks``' blocks."""
+def _times_transfer(
+    spectrum: np.ndarray, params: FoJeffreysParams, h: float, log_rho: float, size: int
+) -> None:
+    """Multiply ``spectrum[l]`` in place by G(s_l), s_l = (1 - zeta_l)/h."""
+    blocks = _node_blocks(h, log_rho, size, params.alpha, params.beta)
     for start, stop, log_mod, arg, s_alpha, s_beta in blocks:
         s_gamma = _power(params.gamma, log_mod, arg)
         spectrum[start:stop] *= _transfer(
             params.mu, params.lambda1, params.lambda2, s_alpha, s_beta, s_gamma
         )
-
-
-def _solve(
-    param_sets: Sequence[FoJeffreysParams],
-    input_series: TimeSeries,
-    divergence_limit: float | None,
-) -> Iterator[SimulationResult]:
-    """Yield ``simulate``'s result for each parameter set in turn.
-
-    The sets share alpha and beta, so L, rho, the damping and the input
-    spectrum are formed once. One set streams the node blocks and multiplies
-    the spectrum in place; several hold the blocks, 32 bytes per node with
-    beta = alpha (about 80*n bytes), and each multiplies a copy.
-    """
-    if not isinstance(input_series, TimeSeries):
-        raise TypeError("simulate expects a TimeSeries input")
-    if divergence_limit is not None and not divergence_limit >= 0.0:
-        raise ValueError(f"divergence limit must be >= 0, got {divergence_limit}")
-    tau = input_series
-    h = tau.step
-    n = len(tau)
-
-    size = _fast_len(5 * n)
-    log_rho = math.log(np.finfo(float).eps) / (5 * n)
-    damping = np.exp(np.arange(n) * log_rho)  # rho^k
-
-    # The transforms run on the input scaled to unit peak, so overflow can
-    # only arise in the final elementwise product, at the samples it hits.
-    scale = float(np.max(np.abs(tau.samples))) or 1.0
-    spectrum = _input_spectrum(tau.samples / scale * damping, size)
-    several = len(param_sets) > 1
-    blocks = _node_blocks(h, log_rho, size, param_sets[0].alpha, param_sets[0].beta)
-    if several:
-        blocks = list(blocks)
-    limit = math.inf if divergence_limit is None else divergence_limit
-    for params in param_sets:
-        # A delta's spectrum is read-only, so its one set multiplies a copy too.
-        product = spectrum if spectrum.flags.writeable and not several else spectrum.copy()
-        _times_transfer(product, params, blocks)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = irfft(product, size)[:n] / damping
-            x *= scale
-            bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > limit))
-        if bad.size:
-            k = int(bad[0])
-            if not math.isfinite(x[k]):
-                raise SimulationDivergedError(k)
-            raise SimulationDivergedError(
-                k, f"output magnitude exceeded {divergence_limit:g} at sample index {k}"
-            )
-        yield SimulationResult(input=tau, output=TimeSeries(step=h, samples=x), params=params)
 
 
 def generate_signal(spec: SignalSpec) -> TimeSeries:
@@ -306,7 +257,39 @@ def simulate(
     ValueError
         If ``divergence_limit`` is NaN or negative.
     """
-    return next(_solve((params,), input_series, divergence_limit))
+    if not isinstance(input_series, TimeSeries):
+        raise TypeError("simulate expects a TimeSeries input")
+    if divergence_limit is not None and not divergence_limit >= 0.0:
+        raise ValueError(f"divergence limit must be >= 0, got {divergence_limit}")
+    tau = input_series
+    h = tau.step
+    n = len(tau)
+
+    size = _fast_len(5 * n)
+    log_rho = math.log(np.finfo(float).eps) / (5 * n)
+    damping = np.exp(np.arange(n) * log_rho)  # rho^k
+
+    # The transforms run on the input scaled to unit peak, so overflow can
+    # only arise in the final elementwise product, at the samples it hits.
+    scale = float(np.max(np.abs(tau.samples))) or 1.0
+    spectrum = _input_spectrum(tau.samples / scale * damping, size)
+    _times_transfer(spectrum, params, h, log_rho, size)
+    limit = math.inf if divergence_limit is None else divergence_limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = irfft(spectrum, size)[:n] / damping
+        x *= scale
+        bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > limit))
+    if bad.size:
+        k = int(bad[0])
+        if not math.isfinite(x[k]):
+            raise SimulationDivergedError(k)
+        raise SimulationDivergedError(
+            k, f"output magnitude exceeded {divergence_limit:g} at sample index {k}"
+        )
+
+    return SimulationResult(
+        input=tau, output=TimeSeries(step=h, samples=x), params=params
+    )
 
 
 def impulse_final_value(params: FoJeffreysParams, area: float) -> float:

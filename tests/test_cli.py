@@ -545,16 +545,13 @@ class TestImpulseStudy:
     def test_file_bytes_pinned(self, tmp_path, capsys, monkeypatch):
         # A stand-in solver with fixed outputs isolates the file format from
         # the solver's rounding.
-        def fake_solve(param_sets, signal, divergence_limit):
+        def fake_simulate(params, signal, divergence_limit=None):
             k = np.arange(len(signal))
-            for params in param_sets:
-                samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
-                output = TimeSeries(step=signal.step, samples=samples)
-                yield SimulationResult(signal, output, params)
+            samples = params.gamma * (k + 1.0) / 3.0 - 1e-7 * params.mu * k**2
+            output = TimeSeries(step=signal.step, samples=samples)
+            return SimulationResult(signal, output, params)
 
-        # The package exports the function under the module's name.
-        solver = importlib.import_module("fojeffreys.simulate")
-        monkeypatch.setattr(solver, "_solve", fake_solve)
+        monkeypatch.setattr(fojeffreys.cli, "simulate", fake_simulate)
         out_file = tmp_path / "study.csv"
         code, _, _ = run(
             capsys,
@@ -580,7 +577,7 @@ class TestImpulseStudy:
         )
 
     def test_same_bits_as_scipy_fft(self, tmp_path, capsys, monkeypatch):
-        # The orders share one contour's nodes, and irfft is numpy's.
+        # Each order is its own simulate call, and irfft is numpy's.
         argv = [
             "impulse-study", *CYL_FLAGS, "--gammas", "0.9,1,1.1",
             "--duration", "10", "--step", "1e-3",

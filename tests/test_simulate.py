@@ -323,13 +323,13 @@ class TestCausality:
 
 
 class TestSharedNodes:
-    """Parameter sets solved together share ln s, s^alpha and s^beta."""
+    """Each block of nodes takes ln s once, for s^alpha, s^beta and s^gamma."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_simulate_bit_for_bit(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         # Even seeds constrained, odd ones not; 1-4 sets; every third input
-        # an impulse.
+        # an impulse. n < 3000 keeps every node in one default block.
         base = random_params(rng, constrained=seed % 2 == 0)
         param_sets = [replace(base, gamma=g) for g in rng.uniform(0.05, 1.95, 1 + seed % 4)]
         n = int(rng.integers(2, 3000))
@@ -337,20 +337,20 @@ class TestSharedNodes:
         if seed % 3 == 0:
             samples[1:] = 0.0
         tau = TimeSeries(step=10.0 ** rng.uniform(-4.0, -1.0), samples=samples)
-        alone = [simulate(params, tau).output.samples for params in param_sets]
+        whole = [simulate(params, tau).output.samples for params in param_sets]
 
         powers = []
         power = simulate_module._power
         monkeypatch.setattr(
             simulate_module, "_power", lambda p, *a: powers.append(p) or power(p, *a)
         )
-        results = list(simulate_module._solve(param_sets, tau, None))
-        assert [r.params for r in results] == param_sets
-        shared = [r.output.samples for r in results]
-        assert [x.tobytes() for x in shared] == [x.tobytes() for x in alone]
-        # s^alpha (and s^beta) once per block; each set takes its s^gamma.
-        blocks = -(-(next_fast_len(5 * n, real=True) // 2 + 1) // simulate_module._NODE_CHUNK)
-        assert len(powers) == blocks * (len(param_sets) + len({base.alpha, base.beta}))
+        monkeypatch.setattr(simulate_module, "_NODE_CHUNK", 257)
+        blocked = [simulate(params, tau).output.samples for params in param_sets]
+        assert [x.tobytes() for x in blocked] == [x.tobytes() for x in whole]
+        # Per call and block: s^alpha, s^beta unless it is s^alpha, s^gamma.
+        blocks = -(-(next_fast_len(5 * n, real=True) // 2 + 1) // 257)
+        per_call = 1 + len({base.alpha, base.beta})
+        assert len(powers) == blocks * len(param_sets) * per_call
         assert set(powers) == {base.alpha, base.beta} | {p.gamma for p in param_sets}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 2501])
@@ -554,20 +554,19 @@ def test_long_simulation_peak_memory(cylinder_params):
 
 
 def test_shared_nodes_peak_memory_does_not_grow_with_the_calls(cylinder_params):
-    # One contour's ln|s|, arg s and s^alpha on L/2 + 1 = 100k nodes (3.05 MiB)
-    # next to one set's own peak and the output the solve holds until the
-    # next set: about 7.1 MiB, for 3 sets as for 12. The caller drops each
-    # output, so only the solver's memory counts.
+    # Each call forms its nodes block by block and keeps none for the next,
+    # so 12 calls peak where 3 do: one call's own peak next to the output
+    # of the call before it, which the loop drops only on the next result.
     signal = generate_signal(
         SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
     )
 
     def peak(calls: int) -> int:
-        param_sets = [replace(cylinder_params, gamma=g) for g in np.linspace(0.5, 1.5, calls)]
         tracemalloc.start()
         try:
-            for result in simulate_module._solve(param_sets, signal, None):
-                del result
+            for g in np.linspace(0.5, 1.5, calls):
+                result = simulate(replace(cylinder_params, gamma=g), signal)
+            del result
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
