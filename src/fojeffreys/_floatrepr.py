@@ -3,9 +3,10 @@
 The digits come from Ryu's d2s (U. Adams, "Ryu: fast float-to-string
 conversion", PLDI 2018): the shortest decimal that reads back to x, nearest
 to x among those, as CPython's repr finds it. Ryu needs only 64-bit integer
-arithmetic, so here it runs on whole numpy uint64 arrays. Time stamps k*t_1
-of a grid whose step has a short decimal need no search: their digits are
-k times the step's.
+arithmetic, so here it runs on whole numpy uint64 arrays. A value in row k
+that equals k*t_1, for a step t_1 with a short decimal, needs no search:
+its digits are k times the step's. That is decided value by value, so the
+column need not be a grid.
 
 The digits are then laid out as CPython lays them out, in row order, into
 cells of four uint64 words of text with NUL holes: the sign, the digits and
@@ -111,15 +112,16 @@ def shortest(x: np.ndarray):
 
 
 def grid_digits(stamps: np.ndarray, k0: int, step: float):
-    """Digits and exponents of grid stamps t_k = k*step, k = k0, k0 + 1, ..., known without Ryu.
+    """Digits and exponents of each stamp t_k, k = k0, k0 + 1, ..., that is k*step, without Ryu.
 
     With repr(step) = m*10^-p, p <= 22 so that 10^p is an exact double,
     stamp k is k*m*10^-p whenever k*m < 10^15 and float(k*m) / 10^p == t_k:
     both sides are exact or correctly rounded, and a double's rounding
     interval holds at most one decimal of 15 or fewer significant digits, so
-    that decimal is the shortest. Returns (known, digits, exponents), the
-    digits with trailing zeros cut and 0 where not known; t = 0 is never
-    known. ``step`` is positive.
+    that decimal is the shortest. The test is made for each stamp on its
+    own, so the others may hold anything: the column need not be a grid.
+    Returns (known, digits, exponents), the digits with trailing zeros cut
+    and 0 where not known; t = 0 is never known. ``step`` is positive.
     """
     mantissa, _, exponent = repr(float(step)).partition("e")
     whole, _, fraction = mantissa.partition(".")
@@ -213,8 +215,9 @@ def cells(values: np.ndarray, separators: np.ndarray, grid=None) -> np.ndarray:
     exponent from byte 24, and the column's separator (a byte, shifted to
     the top of a word) at byte 31. The layout is CPython's: fixed notation
     with a digit on each side of the point for 1e-4 <= |v| < 1e16, else
-    d.ddde±XX. ``grid`` = (k0, step) says that column 0 holds the grid stamps
-    k*step from k = k0; see :func:`grid_digits`.
+    d.ddde±XX. ``grid`` = (k0, step) says that row r of column 0 may hold
+    the stamp k*step, k = k0 + r; :func:`grid_digits` checks each one, and
+    the values that are not such stamps go to Ryu.
     """
     rows, columns = values.shape
     x = values.ravel()

@@ -12,9 +12,10 @@ Each value is written as the bytes of ``repr(float(v))``. A table of
 Ryu's shortest-digit search (U. Adams, PLDI 2018) to numpy ``uint64`` arrays
 with CPython's layout: one pass per chunk of ``_CHUNK_VALUES`` values, row by
 row into 32-byte cells of text with NUL holes, which each file takes as its
-columns and strips of the NULs in one pass. A time column on a grid (as
-``TimeSeries.times`` makes it) skips the search for most stamps: stamp k of
-step m*10^-p prints as k*m*10^-p. A smaller table goes through ``repr``
+columns and strips of the NULs in one pass. A first-column value skips the
+search wherever it equals k*t_1, k its row, t_1 = m*10^-p the column's second
+value: it then prints as k*m*10^-p. Most stamps of a time grid (as
+``TimeSeries.times`` makes it) do. A smaller table goes through ``repr``
 itself, so that a fit report (7 columns, up to 285 rows) never imports
 ``_floatrepr``.
 """
@@ -77,16 +78,6 @@ def _join_text(columns) -> bytes:
     return ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
 
 
-def _grid_step(first):
-    """t_1 if first[k] == k * t_1 for every k, t_1 > 0, as ``TimeSeries.times`` makes it."""
-    step = float(first[1]) if len(first) > 1 else 0.0
-    # The last stamp first, which also keeps k * t_1 from overflowing.
-    if step > 0.0 and first[-1] == (len(first) - 1) * step:
-        if np.array_equal(first, np.arange(len(first)) * step):
-            return step
-    return None
-
-
 def _write_tables(first_column, tables) -> None:
     """Write (header, columns, path) tables whose rows start with ``first_column``.
 
@@ -94,10 +85,10 @@ def _write_tables(first_column, tables) -> None:
     one pass, the shared column once for all files. Values are written as the
     ``repr`` of a Python float: the shortest string that round-trips exactly,
     whatever the locale. A table of ``_VECTOR_VALUES`` values or more is
-    formatted by ``_floatrepr``, which reads a grid first column (t_k == k *
-    t_1 bit for bit, as ``TimeSeries.times`` makes it) off its step. A path
-    named twice gets the last table. A table without columns of its own must
-    be the only one.
+    formatted by ``_floatrepr``; a positive finite t_1 = first[1] is passed
+    to it as a grid step, and ``grid_digits`` decides stamp by stamp which
+    first-column values are k * t_1. A path named twice gets the last table.
+    A table without columns of its own must be the only one.
     """
     first = np.asarray(first_column, dtype=float)
     by_file = {
@@ -110,7 +101,7 @@ def _write_tables(first_column, tables) -> None:
         raise ValueError("a table written beside others needs columns of its own")
     columns = [first] + [c for _, table, _ in by_file.values() for c in table]
     separators = np.full(len(columns), ord(","), np.uint64) << np.uint64(56)
-    step = _grid_step(first)
+    step = float(first[1]) if len(first) > 1 and 0.0 < first[1] < math.inf else None
     vector = len(first) * len(columns) >= _VECTOR_VALUES
     if vector:
         from . import _floatrepr  # loaded by the first long table only
@@ -143,22 +134,23 @@ def write_columns(header: str, columns, path) -> None:
 
 
 def write_frf_rows(frequencies_hz, magnitude_db, phase_deg, path) -> None:
-    """Write raw FRF rows without dataset-level validation.
-
-    Used for model sweeps of any length; :func:`write_frf` layers the
-    dataset invariants on top.
-    """
+    """Write raw FRF rows: dB and degrees as given, unchecked and unwrapped."""
     write_columns(FRF_HEADER, (frequencies_hz, magnitude_db, phase_deg), path)
 
 
-def write_frf(dataset: FrfDataset, path) -> None:
-    """Write an FRF dataset as dB/degree rows."""
-    write_frf_rows(
-        dataset.frequencies_hz,
-        dataset.magnitude_db,
-        wrap_phase_deg(np.degrees(np.angle(dataset.gains))),
-        path,
-    )
+def write_frf(frequencies_hz, gains, path) -> None:
+    """Write complex gains as dB/degree rows, the phase wrapped to (-360, 0].
+
+    Raises ``ValueError``, naming the frequency, before the file is opened
+    if a gain's dB or phase is not finite (a gain of 0, inf or nan).
+    """
+    freqs = np.asarray(frequencies_hz, dtype=float)
+    with np.errstate(all="ignore"):  # refused below
+        db, phase = 20.0 * np.log10(np.abs(gains)), np.degrees(np.angle(gains))
+        bad = ~np.isfinite(db + phase)
+    if bad.any():
+        raise ValueError(f"gain at {freqs[bad][0]:g} Hz is not finite in dB and degrees")
+    write_frf_rows(freqs, db, wrap_phase_deg(phase), path)
 
 
 def read_frf(path) -> FrfDataset:

@@ -173,15 +173,13 @@ def _input_spectrum(u: np.ndarray, size: int) -> np.ndarray:
     return np.full(size // 2 + 1, u[0], dtype=complex)
 
 
-def _node_blocks(
-    h: float, log_rho: float, size: int, alpha: float, beta: float
-) -> Iterator[tuple]:
-    """Yield (start, stop, ln|s|, arg s, s^alpha, s^beta) per block of nodes.
+def _node_blocks(h: float, log_rho: float, size: int) -> Iterator[tuple]:
+    """Yield (start, stop, ln|s|, arg s) per block of the contour's nodes.
 
     s_l = (1 - zeta_l)/h, zeta_l = rho * exp(-i*phi_l) with phi_l = 2*pi*l/size.
     The nodes go in blocks of ``_NODE_CHUNK``; ln s is taken in real
     arithmetic, with |1 - zeta|^2 = (1 - rho)^2 + 4*rho*sin^2(phi/2) free of
-    cancellation near phi = 0.
+    cancellation near phi = 0. The contour holds no model parameter.
     """
     rho = math.exp(log_rho)
     one_minus_rho = -math.expm1(log_rho)
@@ -193,19 +191,16 @@ def _node_blocks(
         half = np.sin(0.5 * phi)
         re = one_minus_rho + 2.0 * rho * half * half
         im = rho * np.sin(phi)
-        log_mod = 0.5 * np.log(re * re + im * im) - log_h
-        arg = np.arctan2(im, re)
-        s_alpha = _power(alpha, log_mod, arg)
-        s_beta = s_alpha if beta == alpha else _power(beta, log_mod, arg)
-        yield start, stop, log_mod, arg, s_alpha, s_beta
+        yield start, stop, 0.5 * np.log(re * re + im * im) - log_h, np.arctan2(im, re)
 
 
 def _times_transfer(
     spectrum: np.ndarray, params: FoJeffreysParams, h: float, log_rho: float, size: int
 ) -> None:
     """Multiply ``spectrum[l]`` in place by G(s_l), s_l = (1 - zeta_l)/h."""
-    blocks = _node_blocks(h, log_rho, size, params.alpha, params.beta)
-    for start, stop, log_mod, arg, s_alpha, s_beta in blocks:
+    for start, stop, log_mod, arg in _node_blocks(h, log_rho, size):
+        s_alpha = _power(params.alpha, log_mod, arg)
+        s_beta = s_alpha if params.beta == params.alpha else _power(params.beta, log_mod, arg)
         s_gamma = _power(params.gamma, log_mod, arg)
         spectrum[start:stop] *= _transfer(
             params.mu, params.lambda1, params.lambda2, s_alpha, s_beta, s_gamma

@@ -300,7 +300,7 @@ def test_dataio_and_exit_codes(tmp_path, capsys):
 
     data = make_synthetic_frf(cylinder())
     frf_path = tmp_path / "frf.csv"
-    write_frf(data, frf_path)
+    write_frf(data.frequencies_hz, data.gains, frf_path)
     back = read_frf(frf_path)
     round_trip = np.max(np.abs(back.gains - data.gains) / np.abs(data.gains))
     if round_trip > 1e-9 or not np.array_equal(back.frequencies_hz, data.frequencies_hz):

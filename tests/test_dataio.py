@@ -100,7 +100,7 @@ class TestRoundTrips:
     def test_frf_round_trip(self, tmp_path, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
         path = tmp_path / "frf.csv"
-        write_frf(data, path)
+        write_frf(data.frequencies_hz, data.gains, path)
         back = read_frf(path)
         np.testing.assert_array_equal(back.frequencies_hz, data.frequencies_hz)
         np.testing.assert_allclose(back.gains, data.gains, rtol=1e-9)
@@ -108,7 +108,7 @@ class TestRoundTrips:
     def test_written_phase_is_wrapped(self, tmp_path, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
         path = tmp_path / "frf.csv"
-        write_frf(data, path)
+        write_frf(data.frequencies_hz, data.gains, path)
         phases = [
             float(line.split(",")[2])
             for line in path.read_text().splitlines()[1:]
@@ -126,7 +126,8 @@ class TestRoundTrips:
 
     def test_lf_line_endings(self, tmp_path, cylinder_params):
         path = tmp_path / "frf.csv"
-        write_frf(make_synthetic_frf(cylinder_params), path)
+        data = make_synthetic_frf(cylinder_params)
+        write_frf(data.frequencies_hz, data.gains, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
@@ -143,7 +144,8 @@ class TestByteOrderMark:
 
     def test_frf(self, tmp_path, cylinder_params):
         path = tmp_path / "frf.csv"
-        write_frf(make_synthetic_frf(cylinder_params), path)
+        data = make_synthetic_frf(cylinder_params)
+        write_frf(data.frequencies_hz, data.gains, path)
         plain, marked = read_frf(path), read_frf(self.marked(path))
         assert marked.frequencies_hz.tobytes() == plain.frequencies_hz.tobytes()
         assert marked.gains.tobytes() == plain.gains.tobytes()
