@@ -14,6 +14,7 @@ is taken as zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ __all__ = [
 def gamma_fn(z: float) -> float:
     """Gamma function for real arguments, via ``math.gamma``.
 
+    Where Gamma(z) overflows, for z > 171.62... or 0 < |z| < 5.6e-309, it
+    returns the infinity of its sign; below z = -171 it underflows, to a
+    subnormal and then to a zero of its sign.
+
     Parameters
     ----------
     z : float
@@ -46,7 +51,10 @@ def gamma_fn(z: float) -> float:
         raise ValueError(f"gamma_fn requires a finite argument, got {z}")
     if z <= 0.0 and z == math.floor(z):
         raise ValueError(f"gamma_fn pole at z={z}")
-    return math.gamma(z)
+    try:
+        return math.gamma(z)
+    except OverflowError:  # only near z = 0, where Gamma(z) ~ 1/z, can it be negative
+        return math.copysign(math.inf, z)
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,9 @@ def dirac_differintegral_analytic(eta: float, t: float) -> float:
     Evaluates ``t^(-eta-1) / Gamma(-eta)`` for t > 0. For eta = -1 (plain
     integration) the value is identically one; for -1 < eta < 0 it decays to
     zero and for eta < -1 it grows without bound as t increases. Where
-    t^(-eta-1) overflows, the value is the infinity of Gamma(-eta)'s sign.
+    Gamma(-eta) or t^(-eta-1) is not a normal double, the value is taken
+    through logarithms, exp((-eta-1)*ln t - lgamma(-eta)), with Gamma(-eta)'s
+    sign: the infinity of that sign where it overflows.
 
     Raises
     ------
@@ -189,5 +199,9 @@ def dirac_differintegral_analytic(eta: float, t: float) -> float:
     if not math.isfinite(t) or t <= 0.0:
         raise ValueError(f"dirac differintegral requires t > 0, got {t}")
     gamma = gamma_fn(-eta)  # raises at a pole before the power can overflow there
-    with np.errstate(over="ignore"):  # a power beyond binary64 is inf
-        return float(np.float64(t) ** (-eta - 1.0) / gamma)
+    with np.errstate(over="ignore", under="ignore"):  # past binary64: inf, or 0
+        power = np.float64(t) ** (-eta - 1.0)
+        if all(sys.float_info.min <= abs(v) < math.inf for v in (power, gamma)):
+            return float(power / gamma)
+        log_value = (-eta - 1.0) * math.log(t) - math.lgamma(-eta)
+        return math.copysign(float(np.exp(log_value)), gamma)

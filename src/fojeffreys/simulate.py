@@ -376,6 +376,9 @@ def classify_late_trend(series: TimeSeries) -> str:
     start = max(0, n - max(2, round(_TREND_FRACTION * n)))
     t = series.times[start:]
     magnitude = np.abs(series.samples[start:])
+    # Scaled exactly, by a power of two, so that neither the mean nor the fit
+    # overflows near the top of binary64; the rate does not depend on it.
+    magnitude = np.ldexp(magnitude, -np.frexp(magnitude.max())[1])
     scale = float(np.mean(magnitude))
     if n < 2 or scale == 0.0:
         return "constant"

@@ -210,6 +210,21 @@ class TestSimulate:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["late_trend"] == "growing"
 
+    def test_growing_tail_near_the_top_of_binary64(self, tmp_path):
+        # The late window's sum of |x| overflows; a fresh process, so that a
+        # numpy warning would reach stderr.
+        src = str(Path(fojeffreys.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fojeffreys.cli", "simulate",
+             "--mu", "1", "--lambda1", "0.01", "--lambda2", "0.05", "--alpha", "1.5",
+             "--signal", "step", "--amplitude", "1e305", "--duration", "5", "--step", "1e-3",
+             "--out-input", str(tmp_path / "tau.csv"), "--out-output", str(tmp_path / "x.csv")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["late_trend"] == "growing"
+
     def test_divergence_exit_code_and_diagnostics(self, tmp_path, capsys):
         code, _, err = run(
             capsys,

@@ -133,6 +133,17 @@ class TestRoundTrips:
         assert raw.endswith(b"\n")
 
 
+class TestWriteFrf:
+    @pytest.mark.parametrize("gain", [math.inf, math.nan, 0.0])
+    def test_non_finite_row_is_refused_before_the_file(self, tmp_path, gain):
+        freqs = np.array([0.5, 1.25, 2.0])
+        gains = np.array([1.0 - 1.0j, gain, 0.5j])
+        path = tmp_path / "frf.csv"
+        with pytest.raises(ValueError, match="gain at 1.25 Hz is not finite"):
+            write_frf(freqs, gains, path)
+        assert not path.exists()
+
+
 class TestByteOrderMark:
     """Spreadsheet exports often start with a UTF-8 byte-order mark."""
 
@@ -549,6 +560,41 @@ class TestGridStamps:
         assert known[k * m < 10**15].any() or k0 * m >= 10**15
         assert not known[k * m >= 10**15].any()
         assert vector_repr(t, grid=(k0, step)) == [repr(v) for v in t.tolist()]
+
+    @staticmethod
+    def off_the_grid(kind, step, rng, n=_CHUNK_VALUES // 2 + 500):
+        """A first column that is not the grid k * step, of one of five kinds."""
+        t = np.arange(n) * step
+        if kind == "nudged":  # a tenth of the stamps one ulp up or down
+            rows = rng.choice(n, n // 10, replace=False)
+            t[rows] = np.nextafter(t[rows], rng.choice([-np.inf, np.inf], rows.size))
+        elif kind == "shuffled":
+            t = rng.permutation(t)
+        elif kind == "negated":
+            t = -t
+        elif kind == "geometric":  # what a long freqresp writes
+            t = np.geomspace(0.005, 1.6, 10_000)
+        elif kind == "mixed":  # random, with a third of the rows at k * step
+            rows = rng.choice(n, n // 3, replace=False)
+            t = rng.standard_normal(n)
+            t[rows], t[1] = rows * step, step
+        return t
+
+    @pytest.mark.parametrize("kind", ["nudged", "shuffled", "negated", "geometric", "mixed"])
+    @pytest.mark.parametrize("step", [1e-3, 2e-4, 0.0015, 2.5e-7])
+    def test_columns_off_the_grid_match_repr(self, tmp_path, kind, step):
+        # grid_digits takes a value for k * step only where it is k * step,
+        # whatever the rest of the column holds; the writer passes the grid
+        # (start, t_1) with any first column whose t_1 is positive.
+        rng = np.random.default_rng([round(step * 1e7), len(kind)])
+        t = self.off_the_grid(kind, step, rng)
+        expected = [repr(v) for v in t.tolist()]
+        assert vector_repr(t, grid=(0, step)) == expected
+        assert vector_repr(t[1000:], grid=(1000, step)) == expected[1000:]
+        columns = [t, rng.standard_normal(t.size)]
+        write_columns("a,b", columns, tmp_path / "chunked.csv")
+        reference_write_columns("a,b", columns, tmp_path / "reference.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_sixteen_digit_stamp_can_have_a_shorter_repr(self):
         # At k = 8999999999000009 and t_1 = 1e-3, k / 10^3 rounds to k * t_1,

@@ -56,6 +56,19 @@ class TestGammaFn:
         with pytest.raises(ValueError):
             gamma_fn(math.nan)
 
+    @pytest.mark.parametrize(
+        ("z", "expected"),
+        [(171.7, math.inf), (200.0, math.inf), (1e300, math.inf),
+         (5e-324, math.inf), (-5e-324, -math.inf)],
+    )
+    def test_overflow_gives_the_signed_infinity(self, z, expected):
+        # Past 171.62... Gamma passes the largest double; near 0 it is ~1/z.
+        assert gamma_fn(z) == expected
+
+    def test_underflow_keeps_the_sign(self):
+        assert gamma_fn(-200.5) == 0.0 and math.copysign(1.0, gamma_fn(-200.5)) == -1.0
+        assert gamma_fn(-201.5) == 0.0 and math.copysign(1.0, gamma_fn(-201.5)) == 1.0
+
 
 class TestGlWeights:
     def test_first_difference(self):
@@ -233,6 +246,26 @@ class TestDiracAnalytic:
     def test_overflow_gives_the_signed_infinity(self, eta, t, expected):
         # t^(-eta-1) passes the largest double; the sign is Gamma(-eta)'s.
         assert dirac_differintegral_analytic(eta, t) == expected
+
+    @pytest.mark.parametrize(
+        ("eta", "t"),
+        [(-200.0, 1.0), (-200.0, 40.0), (-172.0, 0.5), (-180.0, 1e3),
+         (180.5, 100.0), (180.5, 1.0), (-170.5, 100.0), (150.5, 1e3), (175.5, 10.0)],
+    )
+    def test_orders_where_gamma_or_the_power_leaves_binary64(self, eta, t):
+        # Gamma(-eta) is inf (eta <= -172), 0 (eta = 180.5) or subnormal
+        # (175.5), or t^(-eta-1) overflows (-170.5) or underflows (150.5).
+        # The oracle: for an integer n = -eta the product of t/k over
+        # k = 1 .. n - 1; otherwise exp((-eta-1) ln t - ln|Gamma(-eta)|)
+        # with Gamma's sign, from scipy.
+        got = dirac_differintegral_analytic(eta, t)
+        if eta == round(eta):
+            expected = math.prod(t / k for k in range(1, round(-eta)))
+        else:
+            log_value = (-eta - 1.0) * math.log(t) - sp.gammaln(-eta)
+            magnitude = math.exp(log_value) if log_value < 709.0 else math.inf
+            expected = sp.gammasgn(-eta) * magnitude
+        assert got == expected or math.isclose(got, expected, rel_tol=1e-12)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
     def test_pole_orders_rejected(self, eta):

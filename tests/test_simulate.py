@@ -613,3 +613,14 @@ class TestLateTrend:
     )
     def test_two_samples_fit_one_line(self, samples, trend):
         assert classify_late_trend(TimeSeries(step=1.0, samples=samples)) == trend
+
+    @pytest.mark.parametrize(
+        ("slope", "trend"), [(1.0, "growing"), (0.0, "constant"), (-1.0, "decaying")]
+    )
+    def test_records_near_the_top_of_binary64(self, slope, trend):
+        # The window's sum of |x| passes the largest double; the rate, which
+        # does not depend on the scale, must not read 0. Warnings are errors.
+        t = np.arange(5001) * 1e-3
+        samples = 1e306 * (6.0 + slope * t)
+        assert classify_late_trend(TimeSeries(step=1e-3, samples=samples)) == trend
+        assert classify_late_trend(TimeSeries(step=1e-3, samples=-samples)) == trend
