@@ -6,6 +6,8 @@ degrees wrapped to (-360, 0], matching how Bode data is published; numbers
 are written with shortest round-trip formatting so read(write(x))
 reproduces x exactly. Tables are written in chunks of rows, with the same
 bytes as one whole-file string; files that share a first column, in one pass.
+An existing file is overwritten in place and cut at its last written byte on
+close, so a rewrite does not wait on the filesystem emptying it first.
 
 Each value is written as the bytes of ``repr(float(v))``. A table of
 ``_VECTOR_VALUES`` values or more is formatted by ``_floatrepr``, a port of
@@ -26,6 +28,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +92,11 @@ def _write_tables(first_column, tables) -> None:
     to it as a grid step, and ``grid_digits`` decides stamp by stamp which
     first-column values are k * t_1. A path named twice gets the last table.
     A table without columns of its own must be the only one.
+
+    Files are opened without truncation. A regular file that held bytes is
+    cut at its last written byte when the writer closes, on success or after
+    a write raises, so it never keeps the old file's tail; a device or FIFO
+    (``/dev/null``, a pipe) is written as it is.
     """
     first = np.asarray(first_column, dtype=float)
     by_file = {
@@ -109,7 +117,10 @@ def _write_tables(first_column, tables) -> None:
     with contextlib.ExitStack() as stack:
         files, taken = [], 1
         for header, table, path in by_file.values():
-            file = stack.enter_context(open(path, "wb"))
+            file = stack.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"))
+            old = os.fstat(file.fileno())  # overwritten in place, not emptied on open
+            if old.st_size and stat.S_ISREG(old.st_mode):  # bytes to cut; not a device or FIFO
+                stack.callback(file.truncate)  # at the last byte written, on success or error
             file.write(header.encode() + b"\n")
             indices = [0, *range(taken, taken + len(table))]
             separators[indices[-1]] = np.uint64(ord("\n")) << np.uint64(56)  # the row's end

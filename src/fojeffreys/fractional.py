@@ -187,7 +187,8 @@ def dirac_differintegral_analytic(eta: float, t: float) -> float:
     zero and for eta < -1 it grows without bound as t increases. Where
     Gamma(-eta) or t^(-eta-1) is not a normal double, the value is taken
     through logarithms, exp((-eta-1)*ln t - lgamma(-eta)), with Gamma(-eta)'s
-    sign: the infinity of that sign where it overflows.
+    sign: the infinity of that sign where it overflows. Above -eta ~ 2.5e305,
+    where lgamma itself overflows, Stirling's series gives ln Gamma(-eta).
 
     Raises
     ------
@@ -203,5 +204,9 @@ def dirac_differintegral_analytic(eta: float, t: float) -> float:
         power = np.float64(t) ** (-eta - 1.0)
         if all(sys.float_info.min <= abs(v) < math.inf for v in (power, gamma)):
             return float(power / gamma)
-        log_value = (-eta - 1.0) * math.log(t) - math.lgamma(-eta)
+        try:
+            log_value = (-eta - 1.0) * math.log(t) - math.lgamma(-eta)
+        except OverflowError:  # -eta > ~2.5e305: Stirling's ln Gamma(z), z = -eta, Gamma(z) > 0
+            z, log_t = np.float64(-eta), math.log(t)
+            log_value = z * (log_t - np.log(z) + 1.0) - log_t + 0.5 * np.log(z / (2.0 * math.pi))
         return math.copysign(float(np.exp(log_value)), gamma)

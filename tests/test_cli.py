@@ -315,16 +315,45 @@ class TestSimulate:
         assert (tmp_path / "tau.csv").read_bytes() == expected
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        self.check_unwritable(
+            tmp_path, capsys, "missing/x.csv", "[Errno 2] No such file or directory"
+        )
+
+    def test_directory_output_is_usage_error(self, tmp_path, capsys):
+        self.check_unwritable(tmp_path, capsys, ".", "[Errno 21] Is a directory")
+
+    def check_unwritable(self, tmp_path, capsys, name, reason):
+        path = os.path.join(tmp_path, name)
         code, _, err = run(
             capsys,
             "simulate", *CYL_FLAGS,
             "--signal", "impulse", "--area", "1",
             "--duration", "1", "--step", "1e-3",
             "--out-input", str(tmp_path / "tau.csv"),
-            "--out-output", str(tmp_path / "missing" / "x.csv"),
+            "--out-output", path,
         )
         assert code == 2
-        assert err.startswith("error:")
+        assert err == f"error: {reason}: {path!r}\n"
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_output_to_the_null_device(self, tmp_path, capsys):
+        # A character device takes the rows but cannot be cut to length.
+        flags = [
+            "simulate", *CYL_FLAGS,
+            "--signal", "impulse", "--area", "1",
+            "--duration", "1", "--step", "1e-3",
+        ]
+        code, out, err = run(
+            capsys, *flags,
+            "--out-input", os.devnull, "--out-output", str(tmp_path / "x.csv"),
+        )
+        assert (code, err) == (0, "")
+        code, expected, _ = run(
+            capsys, *flags,
+            "--out-input", str(tmp_path / "tau.csv"), "--out-output", str(tmp_path / "x1.csv"),
+        )
+        assert (code, out) == (0, expected)
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "x1.csv").read_bytes()
 
 
 class TestFit:

@@ -741,3 +741,57 @@ class TestChunkedWriter:
                 (TimeSeries(step=0.5, samples=np.ones(4)), tmp_path / "b.csv"),
             )
         assert not (tmp_path / "a.csv").exists()
+
+
+class TestRewriteInPlace:
+    """An existing file is overwritten in place and cut at its last written byte."""
+
+    PAIR_ROWS = 2 * (_CHUNK_VALUES // 3) + 5  # three chunks of the time, a, b rows
+
+    def write(self, kind, directory, name):
+        rng = np.random.default_rng(11)
+        if kind == "repr":  # below _VECTOR_VALUES: formatted by repr
+            columns = [np.arange(40) * 0.25, rng.standard_normal(40), rng.standard_normal(40)]
+            write_columns("t,a,b", columns, directory / name)
+            return [directory / name]
+        if kind == "vector":  # three chunks of two-column rows
+            n = _CHUNK_VALUES + 7
+            write_columns("t,a", [np.arange(n) * 1e-3, rng.standard_normal(n)], directory / name)
+            return [directory / name]
+        a = TimeSeries(step=1e-3, samples=rng.standard_normal(self.PAIR_ROWS))
+        b = TimeSeries(step=1e-3, samples=rng.standard_normal(self.PAIR_ROWS) * 1e-6)
+        paths = [directory / f"a-{name}", directory / f"b-{name}"]
+        write_timeseries(a, paths[0], (b, paths[1]))
+        return paths
+
+    @pytest.mark.parametrize("kind", ["repr", "vector", "pair"])
+    @pytest.mark.parametrize("old", ["longer", "shorter"])
+    def test_rewrite_matches_a_fresh_write(self, tmp_path, kind, old):
+        fresh = [p.read_bytes() for p in self.write(kind, tmp_path, "fresh.csv")]
+        for path, text in zip(self.write(kind, tmp_path, "old.csv"), fresh):
+            path.write_bytes(b"9,9\n" * (len(text) // 2 if old == "longer" else len(text) // 8))
+        rewritten = [p.read_bytes() for p in self.write(kind, tmp_path, "old.csv")]
+        assert rewritten == fresh
+
+    def test_failed_write_keeps_completed_chunks_only(self, tmp_path, monkeypatch):
+        # The second chunk's formatting raises: each file holds its header and
+        # the first chunk's rows, and none of the longer old file after them.
+        fresh = [p.read_bytes() for p in self.write("pair", tmp_path, "fresh.csv")]
+        old = [tmp_path / "a-old.csv", tmp_path / "b-old.csv"]
+        for path in old:
+            path.write_bytes(b"7" * 2**20)
+        cells, sizes = _floatrepr.cells, []
+
+        def cells_failing_on_the_second_chunk(*args):
+            if sizes:
+                raise RuntimeError("formatting failed")
+            sizes.append([p.stat().st_size for p in old])  # after the open, before a row
+            return cells(*args)
+
+        monkeypatch.setattr(_floatrepr, "cells", cells_failing_on_the_second_chunk)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            self.write("pair", tmp_path, "old.csv")
+        assert sizes == [[2**20, 2**20]]  # not truncated to zero on open
+        rows = _CHUNK_VALUES // 3
+        for path, text in zip(old, fresh):
+            assert path.read_bytes() == b"".join(text.splitlines(keepends=True)[:1 + rows])

@@ -267,6 +267,23 @@ class TestDiracAnalytic:
             expected = sp.gammasgn(-eta) * magnitude
         assert got == expected or math.isclose(got, expected, rel_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        ("eta", "t"),
+        [(-1e308, 2.0), (-1e306, 0.5), (-3e305, 2.0), (-1e306, 1e308), (-3e305, 1e306),
+         (-2e305, 2.0), (-2e305, 1e300)],
+    )
+    def test_orders_where_lgamma_overflows(self, eta, t):
+        # From -eta ~ 2.5e305 on, ln Gamma(-eta) itself passes the largest
+        # double (the last two cases stay just below it). The oracle is
+        # mpmath's log value at 50 digits, whose exponential is 0 or inf.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            z = -mpmath.mpf(eta)
+            log_value = (z - 1) * mpmath.log(t) - mpmath.loggamma(z)
+        assert abs(log_value) > 746
+        expected = math.inf if log_value > 0 else 0.0
+        assert dirac_differintegral_analytic(eta, t) == expected
+
     @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
     def test_pole_orders_rejected(self, eta):
         with pytest.raises(ValueError):
