@@ -22,16 +22,7 @@ from .identify import (
     fit,
     residual_report,
 )
-from .model import (
-    DashpotParams,
-    FoJeffreysParams,
-    IntegerJeffreysParams,
-    ZenerParams,
-    classical_freq_response,
-    freq_response,
-    reduces_to_dashpot,
-    validate,
-)
+from .model import FoJeffreysParams, freq_response, validate
 from .simulate import (
     SignalSpec,
     SimulationDivergedError,
@@ -46,20 +37,16 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DashpotParams",
     "FitConfig",
     "FitNonConvergenceError",
     "FitResult",
     "FoJeffreysParams",
     "FrfDataset",
-    "IntegerJeffreysParams",
     "ResidualReport",
     "SignalSpec",
     "SimulationDivergedError",
     "SimulationResult",
     "TimeSeries",
-    "ZenerParams",
-    "classical_freq_response",
     "classify_late_trend",
     "dirac_differintegral_analytic",
     "fit",
@@ -69,7 +56,6 @@ __all__ = [
     "gl_differintegral",
     "gl_weights",
     "impulse_final_value",
-    "reduces_to_dashpot",
     "residual_report",
     "simulate",
     "steady_state_sine_gain",

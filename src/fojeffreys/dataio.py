@@ -93,10 +93,12 @@ def _write_tables(first_column, tables) -> None:
     first-column values are k * t_1. A path named twice gets the last table.
     A table without columns of its own must be the only one.
 
-    Files are opened without truncation. A regular file that held bytes is
-    cut at its last written byte when the writer closes, on success or after
-    a write raises, so it never keeps the old file's tail; a device or FIFO
-    (``/dev/null``, a pipe) is written as it is.
+    Files are opened without truncation, all of them before any is written.
+    A regular file that held bytes is cut at its last written byte when the
+    writer closes, on success or after a write raises, so it never keeps the
+    old file's tail; a device or FIFO (``/dev/null``, a pipe) is written as
+    it is. If one path cannot be opened, the others keep their bytes; one of
+    them that did not exist has been created empty (``O_CREAT``).
     """
     first = np.asarray(first_column, dtype=float)
     by_file = {
@@ -115,9 +117,12 @@ def _write_tables(first_column, tables) -> None:
         from . import _floatrepr  # loaded by the first long table only
     rows = max(_CHUNK_VALUES // len(columns), 1)
     with contextlib.ExitStack() as stack:
+        opened = [
+            stack.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"))
+            for _, _, path in by_file.values()
+        ]  # all opened before any header or cut: a failed open leaves every file's bytes
         files, taken = [], 1
-        for header, table, path in by_file.values():
-            file = stack.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"))
+        for file, (header, table, _) in zip(opened, by_file.values()):
             old = os.fstat(file.fileno())  # overwritten in place, not emptied on open
             if old.st_size and stat.S_ISREG(old.st_mode):  # bytes to cut; not a device or FIFO
                 stack.callback(file.truncate)  # at the last byte written, on success or error

@@ -323,7 +323,10 @@ class TestSimulate:
         self.check_unwritable(tmp_path, capsys, ".", "[Errno 21] Is a directory")
 
     def check_unwritable(self, tmp_path, capsys, name, reason):
+        # An earlier output file keeps its old bytes when a later one fails to open.
         path = os.path.join(tmp_path, name)
+        earlier = b"time_s,value\n0.0,1.0\n0.5,2.0\n"
+        (tmp_path / "tau.csv").write_bytes(earlier)
         code, _, err = run(
             capsys,
             "simulate", *CYL_FLAGS,
@@ -334,6 +337,7 @@ class TestSimulate:
         )
         assert code == 2
         assert err == f"error: {reason}: {path!r}\n"
+        assert (tmp_path / "tau.csv").read_bytes() == earlier
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_output_to_the_null_device(self, tmp_path, capsys):
