@@ -10,7 +10,6 @@ initial guess is given: each fit starts from the best point of a fixed grid.
 import numpy as np
 
 from fojeffreys import (
-    FitConfig,
     FoJeffreysParams,
     FrfDataset,
     fit,
@@ -31,8 +30,8 @@ data = FrfDataset(
 )
 print("synthetic data: 20 points, 0.005 - 1.6 Hz, 0.5 dB / 2 deg noise\n")
 
-fo = fit(data, FitConfig(model_class="FO"))
-io = fit(data, FitConfig(model_class="IO"))
+fo = fit(data, model_class="FO")
+io = fit(data, model_class="IO")
 
 print("=== fitted parameters ===")
 print(f"{'':>8} {'truth':>12} {'FO fit':>12} {'IO fit':>12}")

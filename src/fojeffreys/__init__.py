@@ -14,7 +14,6 @@ from .fractional import (
     gl_weights,
 )
 from .identify import (
-    FitConfig,
     FitNonConvergenceError,
     FitResult,
     FrfDataset,
@@ -37,7 +36,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FitConfig",
     "FitNonConvergenceError",
     "FitResult",
     "FoJeffreysParams",

@@ -19,7 +19,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import dataio
-from .identify import FitConfig, FitNonConvergenceError, fit
+from .identify import FitNonConvergenceError, fit
 from .model import FoJeffreysParams, freq_response, validate
 from .simulate import (
     SignalSpec,
@@ -149,14 +149,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = dataio.read_frf(args.frf)
-    config = FitConfig(
-        model_class=args.model_class,
-        initial_guess=_resolve_params(args, guess=True),
-        max_iterations=args.max_iterations,
-    )
+    guess = _resolve_params(args, guess=True)
     exit_code = EXIT_OK
     try:
-        result = fit(data, config)
+        result = fit(data, model_class=args.model_class, initial_guess=guess)
     except FitNonConvergenceError as exc:
         result = exc.result
         print(f"fit did not converge: {exc}", file=sys.stderr)
@@ -213,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # No prefix matching: a removed or misspelt flag is a usage error, not an
-    # abbreviation of another flag ("--max" of "--max-iterations").
+    # abbreviation of another flag ("--model" of "--model-class").
     add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p_freq = add_command("freqresp", help="evaluate the frequency response")
@@ -244,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--frf", required=True, help="input FRF file")
     p_fit.add_argument("--model-class", choices=("FO", "IO"), default="FO")
     p_fit.add_argument("--report", required=True, help="fit report file")
-    p_fit.add_argument(
-        "--max-iterations", type=int, default=5000,
-        help="residual evaluations per start (the Jacobian is closed form)",
-    )
     p_fit.set_defaults(func=_cmd_fit)
 
     p_study = add_command(

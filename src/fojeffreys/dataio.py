@@ -180,7 +180,8 @@ def read_frf(path) -> FrfDataset:
     """
     freqs, db, deg = _read_table(path, FRF_HEADER, n_fields=3)
     phases = np.radians(deg)
-    gains = 10.0 ** (db / 20.0) * (np.cos(phases) + 1j * np.sin(phases))
+    with np.errstate(over="ignore", invalid="ignore"):  # FrfDataset refuses a non-finite gain
+        gains = 10.0 ** (db / 20.0) * (np.cos(phases) + 1j * np.sin(phases))
     return FrfDataset(frequencies_hz=freqs, gains=gains)
 
 

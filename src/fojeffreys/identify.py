@@ -9,6 +9,7 @@ projects it out (Golub & Pereyra 1973) and runs MINPACK's Levenberg-Marquardt
 lmder (Moré 1978) through leastsq, with residual and Jacobian from one ln G per
 theta = [log lambda2, logit(lambda1 / lambda2), logit(alpha / 2)] (FO only the
 last), where 0 < lambda1 < lambda2 and 0 < alpha < 2 hold by construction.
+``fit`` takes two choices: the model class and an optional initial guess.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .model import FoJeffreysParams, freq_response, validate
 
 __all__ = [
-    "FitConfig",
     "FitNonConvergenceError",
     "FitResult",
     "FrfDataset",
@@ -38,6 +38,7 @@ _LOG_CLIP = 300.0
 _LOGIT_CLIP = 30.0
 _TOLERANCE = 1.0e-12  # relative; on the objective, the step and the gradient
 _LM_SUCCESS = (1, 2, 3, 4)  # MINPACK's ier when a tolerance was met
+_MAX_EVALUATIONS = 5000  # residual evaluations per start; the Jacobian costs none
 # d(20 log10|G|) / d Re(ln G) and d(degrees arg G) / d Im(ln G).
 _DB_PER_NEPER = 20.0 / math.log(10.0)
 _DEG_PER_RAD = 180.0 / math.pi
@@ -112,30 +113,6 @@ class FrfDataset:
         deg = np.degrees(np.unwrap(np.angle(self.gains)))
         deg.flags.writeable = False
         return deg
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Settings of one identification run.
-
-    ``model_class`` selects the fractional-order fit ("FO": shared order
-    alpha = beta estimated, gamma pinned to 1) or the integer-order
-    comparison ("IO": alpha = beta = gamma = 1). ``initial_guess``, when
-    given, is a second start next to the grid's. ``max_iterations`` caps the
-    residual evaluations of each start; the Jacobian is closed form and costs
-    none of them. The initial guess's mu, beta and gamma are not read: mu is
-    projected out, the FO class ties beta to alpha and pins gamma to 1.
-    """
-
-    model_class: str = "FO"
-    initial_guess: FoJeffreysParams | None = None
-    max_iterations: int = 5000
-
-    def __post_init__(self) -> None:
-        if self.model_class not in ("FO", "IO"):
-            raise ValueError(f"model_class must be 'FO' or 'IO', got {self.model_class!r}")
-        if not 1 <= int(self.max_iterations) < 2**31:  # MINPACK's maxfev is a C int
-            raise ValueError(f"max_iterations must be in [1, {2**31 - 1}]")
 
 
 @dataclass(frozen=True)
@@ -327,16 +304,24 @@ def leastsq(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
+def fit(
+    data: FrfDataset,
+    *,
+    model_class: str = "FO",
+    initial_guess: FoJeffreysParams | None = None,
+) -> FitResult:
     """Identify model parameters from an FRF dataset.
 
-    Runs Levenberg-Marquardt on the reduced residual from the best point of
-    ``_grid`` and, if given, from ``config.initial_guess``, and keeps the
-    start that ends at the lower cost, the grid's on ties. Each solve stops
-    at a relative tolerance of 1e-12 on the objective, the step or the
-    gradient, or after ``config.max_iterations`` residual evaluations; mu
-    is then the mean dB offset. Returned parameters always satisfy the
-    constrained-mode validation of the FO class.
+    ``model_class`` selects the fractional-order fit ("FO": shared order
+    alpha = beta estimated, gamma pinned to 1) or the integer-order
+    comparison ("IO": alpha = beta = gamma = 1). Levenberg-Marquardt runs on
+    the reduced residual from the best point of ``_grid`` and, if given, from
+    ``initial_guess``, whose mu, beta and gamma are not read; the start that
+    ends at the lower cost is kept, the grid's on ties. Each solve stops at a
+    relative tolerance of 1e-12 on the objective, the step or the gradient,
+    or after ``_MAX_EVALUATIONS`` (5000) residual evaluations; mu is then the
+    mean dB offset. Returned parameters always satisfy the constrained-mode
+    validation of the FO class.
 
     Raises
     ------
@@ -345,26 +330,27 @@ def fit(data: FrfDataset, config: FitConfig | None = None) -> FitResult:
         result's ``converged`` is false; the exception carries that
         incumbent ``FitResult``.
     ValueError
-        If the data's gain level puts mu outside the floating-point range.
+        If ``model_class`` is not "FO" or "IO", or if the data's gain level
+        puts mu outside the floating-point range.
     """
-    if config is None:
-        config = FitConfig()
-    theta, costs = _grid(data, config.model_class)
+    if model_class not in ("FO", "IO"):
+        raise ValueError(f"model_class must be 'FO' or 'IO', got {model_class!r}")
+    theta, costs = _grid(data, model_class)
     starts = [theta[np.argmin(costs)]]
-    if config.initial_guess is not None:
-        starts.append(_pack(config.initial_guess, config.model_class))
+    if initial_guess is not None:
+        starts.append(_pack(initial_guess, model_class))
 
-    residuals, jacobian = _lm_problem(data, config.model_class)
+    residuals, jacobian = _lm_problem(data, model_class)
     # No diag: MINPACK scales each coordinate by its Jacobian column's norm.
     solutions = [  # each is (x, cov_x, info, message, ier)
         leastsq(
             residuals, start, Dfun=jacobian, full_output=True, ftol=_TOLERANCE,
-            xtol=_TOLERANCE, gtol=_TOLERANCE, maxfev=int(config.max_iterations),
+            xtol=_TOLERANCE, gtol=_TOLERANCE, maxfev=_MAX_EVALUATIONS,
         )
         for start in starts
     ]
     x, _, info, _, ier = min(solutions, key=lambda sol: sol[2]["fvec"] @ sol[2]["fvec"])
-    shape = _unpack(x, config.model_class)
+    shape = _unpack(x, model_class)
     log10_mu = float(np.mean(residual_report(shape, data).residual_db)) / 20.0
     if abs(log10_mu) > 307.0:  # 10^-307 <= mu <= 10^307 are normal floats
         raise ValueError(f"the FRF gain level needs mu = 10^{log10_mu:.1f}, out of range")

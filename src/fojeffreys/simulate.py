@@ -211,15 +211,16 @@ def generate_signal(spec: SignalSpec) -> TimeSeries:
     """Sample the excitation described by ``spec`` on its grid."""
     n = spec.n_samples
     t = np.arange(n) * spec.step
-    if spec.kind == "impulse":
-        samples = np.zeros(n)
-        samples[0] = spec.area / spec.step
-    elif spec.kind == "step":
-        samples = np.full(n, spec.amplitude)
-    elif spec.kind == "slope":
-        samples = spec.rate * t
-    else:
-        samples = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # TimeSeries refuses a non-finite sample
+        if spec.kind == "impulse":
+            samples = np.zeros(n)
+            samples[0] = spec.area / spec.step
+        elif spec.kind == "step":
+            samples = np.full(n, spec.amplitude)
+        elif spec.kind == "slope":
+            samples = spec.rate * t
+        else:
+            samples = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
     return TimeSeries(step=spec.step, samples=samples)
 
 

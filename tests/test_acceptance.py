@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from fojeffreys import (
-    FitConfig,
     FoJeffreysParams,
     SignalSpec,
     TimeSeries,
@@ -24,6 +23,7 @@ from fojeffreys import (
     simulate,
     steady_state_sine_gain,
 )
+from fojeffreys import identify
 from fojeffreys.cli import main as cli_main
 from fojeffreys.dataio import read_frf, read_timeseries, write_frf, write_timeseries
 
@@ -180,7 +180,7 @@ def test_fit_recovery():
     ok = True
     details = []
 
-    clean = fit(data, FitConfig(initial_guess=perturbed_guess(truth, seed=42)))
+    clean = fit(data, initial_guess=perturbed_guess(truth, seed=42))
     worst_clean = max(
         abs(getattr(clean.params, name) - getattr(truth, name)) / getattr(truth, name)
         for name in ("mu", "lambda1", "lambda2", "alpha")
@@ -192,9 +192,7 @@ def test_fit_recovery():
     )
 
     noisy_data = add_frf_noise(data, db_sigma=0.5, deg_sigma=2.0, seed=0)
-    noisy = fit(
-        noisy_data, FitConfig(initial_guess=perturbed_guess(truth, seed=0))
-    )
+    noisy = fit(noisy_data, initial_guess=perturbed_guess(truth, seed=0))
     worst_noisy = max(
         abs(getattr(noisy.params, name) - getattr(truth, name)) / getattr(truth, name)
         for name in ("mu", "lambda1", "lambda2", "alpha")
@@ -215,8 +213,8 @@ def test_fo_vs_io_ordering():
     t_start = time.monotonic()
     truth = cylinder()
     data = make_synthetic_frf(truth)
-    fo = fit(data, FitConfig(model_class="FO"))
-    io = fit(data, FitConfig(model_class="IO"))
+    fo = fit(data, model_class="FO")
+    io = fit(data, model_class="IO")
 
     omega_top = 2.0 * math.pi * 1.6
     phase_data = math.degrees(np.angle(data.gains[-1]))
@@ -292,7 +290,7 @@ def test_slope_input_lag():
     )
 
 
-def test_dataio_and_exit_codes(tmp_path, capsys):
+def test_dataio_and_exit_codes(tmp_path, capsys, monkeypatch):
     """File round trips and the CLI exit-code contract."""
     t_start = time.monotonic()
     ok = True
@@ -327,9 +325,9 @@ def test_dataio_and_exit_codes(tmp_path, capsys):
             "--duration", "1", "--step", "0.01",
             "--out-input", str(tmp_path / "tau.csv"),
             "--out-output", str(tmp_path / "x.csv")],
-        4: ["fit", "--frf", str(frf_path), "--report", str(tmp_path / "inc.csv"),
-            "--max-iterations", "2"],
+        4: ["fit", "--frf", str(frf_path), "--report", str(tmp_path / "inc.csv")],
     }
+    monkeypatch.setattr(identify, "_MAX_EVALUATIONS", 2)  # forces exit 4
     for expected, argv in runs.items():
         code = cli_main(argv)
         if code != expected:

@@ -14,7 +14,7 @@ import pytest
 import scipy.fft
 
 import fojeffreys.cli
-from fojeffreys import SignalSpec, SimulationResult, TimeSeries, generate_signal
+from fojeffreys import SignalSpec, SimulationResult, TimeSeries, generate_signal, identify
 from fojeffreys.cli import main
 from fojeffreys.dataio import (
     read_frf,
@@ -266,6 +266,27 @@ class TestSimulate:
         assert err.startswith("error: ") and "overflows the sample count" in err
         assert stdout == "" and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "signal",
+        [
+            ("--signal", "slope", "--rate", "1e308"),
+            ("--signal", "sine", "--amplitude", "1", "--frequency", "1e307"),
+        ],
+        ids=["slope", "sine"],
+    )
+    def test_signal_beyond_binary64_is_usage_error(self, tmp_path, capsys, signal):
+        # Finite flags whose samples overflow: refused, with no warning.
+        code, stdout, err = run(
+            capsys,
+            "simulate", *CYL_FLAGS, *signal,
+            "--duration", "10", "--step", "1e-3",
+            "--out-input", str(tmp_path / "tau.csv"),
+            "--out-output", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err == "error: time series samples must all be finite\n"
+        assert stdout == "" and not any(tmp_path.iterdir())
+
     def test_zero_area_impulse_meets_zero_limit(self, tmp_path, capsys):
         # The divergence limit scales with the area, so a zero area gives 0.
         code, out, _ = run(
@@ -431,6 +452,19 @@ class TestFit:
         assert code == 2
         assert "at least 4" in err
 
+    def test_gain_beyond_binary64_is_usage_error(self, tmp_path, capsys):
+        # A finite dB value whose gain overflows: refused, with no warning.
+        path = tmp_path / "frf.csv"
+        path.write_text(
+            "frequency_hz,magnitude_db,phase_deg\n"
+            "0.01,1,-100\n0.02,1,-100\n0.03,7000,-100\n0.04,1,-100\n"
+        )
+        report = tmp_path / "r.csv"
+        code, stdout, err = run(capsys, "fit", "--frf", str(path), "--report", str(report))
+        assert code == 2
+        assert err == "error: gains must be finite and non-zero\n"
+        assert stdout == "" and not report.exists()
+
     def test_missing_file_rejected(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -454,14 +488,11 @@ class TestFit:
             outputs.append((out, report.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_non_convergence_exit_code_writes_incumbent(self, tmp_path, capsys):
+    def test_non_convergence_exit_code_writes_incumbent(self, tmp_path, capsys, monkeypatch):
         frf = self.make_frf_file(tmp_path, capsys)
         report = tmp_path / "incumbent.csv"
-        code, out, err = run(
-            capsys,
-            "fit", "--frf", str(frf), "--report", str(report),
-            "--max-iterations", "2",
-        )
+        monkeypatch.setattr(identify, "_MAX_EVALUATIONS", 2)
+        code, out, err = run(capsys, "fit", "--frf", str(frf), "--report", str(report))
         assert code == 4
         assert "did not converge" in err
         summary = json.loads(out.strip().splitlines()[-1])
@@ -488,17 +519,16 @@ class TestFit:
         written = dataclasses.asdict(read_params(report))
         assert written == {name: summary[name] for name in CYLINDER}
 
-    def test_max_iterations_beyond_c_int_is_usage_error(self, tmp_path, capsys):
-        # MINPACK counts residual evaluations in a C int.
+    def test_removed_budget_flag_is_unknown(self, tmp_path, capsys):
+        # The evaluation budget is a fixed constant; the flag that set it is gone.
         frf = self.make_frf_file(tmp_path, capsys)
         report = tmp_path / "report.csv"
         code, out, err = run(
             capsys,
-            "fit", "--frf", str(frf), "--report", str(report),
-            "--max-iterations", str(2**31),
+            "fit", "--frf", str(frf), "--report", str(report), "--max-iterations", "5",
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: max_iterations")
+        assert "unrecognized arguments: --max-iterations 5" in err
         assert not report.exists()
 
     def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
@@ -758,7 +788,7 @@ def test_option_strings_per_subcommand():
             "--duration", "--step", "--out-input", "--out-output",
         },
         "fit": common | {
-            "--frf", "--model-class", "--report", "--max-iterations",
+            "--frf", "--model-class", "--report",
         },
         "impulse-study": common | {
             "--beta", "--unconstrained",

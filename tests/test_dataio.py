@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fojeffreys import FitResult, FoJeffreysParams, TimeSeries, fit, FitConfig, residual_report
+from fojeffreys import FitResult, FoJeffreysParams, TimeSeries, fit, residual_report
 from fojeffreys import identify
 from fojeffreys.dataio import (
     FRF_HEADER,
@@ -209,7 +209,7 @@ class TestReadTimeseries:
 class TestFitReport:
     def test_params_round_trip_and_residual_identity(self, tmp_path, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
-        result = fit(data, FitConfig())
+        result = fit(data)
         path = tmp_path / "report.csv"
         write_fit_report(result, path)
 
@@ -231,7 +231,7 @@ class TestFitReport:
         # The report file is the result's own report: writing it evaluates
         # no model, so its objective line and its table cannot disagree.
         data = make_synthetic_frf(cylinder_params)
-        result = fit(data, FitConfig())
+        result = fit(data)
         path = tmp_path / "report.csv"
 
         def no_model(*args):

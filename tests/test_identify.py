@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares, leastsq
 
 from fojeffreys import (
-    FitConfig,
     FitNonConvergenceError,
     FoJeffreysParams,
     FrfDataset,
@@ -195,23 +195,20 @@ class TestPhaseBranch:
 
 
 class TestFitConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"model_class": "XX"},
-            {"max_iterations": 0},
-            {"max_iterations": -1},
-            {"max_iterations": 2**31},  # beyond MINPACK's C int
-        ],
-    )
-    def test_invalid_config(self, kwargs):
-        with pytest.raises(ValueError):
-            FitConfig(**kwargs)
+    @pytest.mark.parametrize("kwargs", [{"model_class": "XX"}])
+    def test_invalid_config(self, cylinder_params, kwargs):
+        with pytest.raises(ValueError, match="model_class"):
+            fit(make_synthetic_frf(cylinder_params), **kwargs)
 
     def test_fields(self):
-        # A field is a knob: each one must be read by the fit.
-        assert [f.name for f in dataclasses.fields(FitConfig)] == [
-            "model_class", "initial_guess", "max_iterations"
+        # A parameter is a knob: each one must be read by the fit.
+        P = inspect.Parameter
+        assert [
+            (p.name, p.kind, p.default) for p in inspect.signature(fit).parameters.values()
+        ] == [
+            ("data", P.POSITIONAL_OR_KEYWORD, P.empty),
+            ("model_class", P.KEYWORD_ONLY, "FO"),
+            ("initial_guess", P.KEYWORD_ONLY, None),
         ]
 
 
@@ -336,7 +333,7 @@ class TestJacobian:
         data = add_frf_noise(
             make_synthetic_frf(cylinder_params), db_sigma=0.5, deg_sigma=2.0, seed=0
         )
-        result = fit(data, FitConfig(model_class=model_class))
+        result = fit(data, model_class=model_class)
         assert len(evaluated) == result.iterations + 2
         assert np.array_equal(evaluated[0], evaluated[2])
         assert len(jacobians) > 1 and all(jacobians)
@@ -361,7 +358,7 @@ class TestFit:
     def test_noiseless_recovery_within_two_percent(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
         guess = perturbed_guess(cylinder_params, seed=42)
-        result = fit(data, FitConfig(initial_guess=guess))
+        result = fit(data, initial_guess=guess)
         assert result.objective < 1e-6
         for name in ("mu", "lambda1", "lambda2", "alpha"):
             got = getattr(result.params, name)
@@ -370,21 +367,21 @@ class TestFit:
 
     def test_result_is_constrained_valid(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
-        result = fit(data, FitConfig())
+        result = fit(data)
         assert validate(result.params) == []
         assert result.params.gamma == 1.0
 
     def test_io_class_pins_integer_orders(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
-        result = fit(data, FitConfig(model_class="IO"))
+        result = fit(data, model_class="IO")
         assert result.params.alpha == 1.0
         assert result.params.beta == 1.0
         assert result.params.gamma == 1.0
 
     def test_io_objective_exceeds_fo_objective(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
-        fo = fit(data, FitConfig(model_class="FO"))
-        io = fit(data, FitConfig(model_class="IO"))
+        fo = fit(data, model_class="FO")
+        io = fit(data, model_class="IO")
         assert io.objective > fo.objective
 
     def test_noisy_recovery_within_ten_percent(self, cylinder_params):
@@ -392,7 +389,7 @@ class TestFit:
             make_synthetic_frf(cylinder_params), db_sigma=0.5, deg_sigma=2.0, seed=0
         )
         guess = perturbed_guess(cylinder_params, seed=0)
-        result = fit(data, FitConfig(initial_guess=guess))
+        result = fit(data, initial_guess=guess)
         for name in ("mu", "lambda1", "lambda2", "alpha"):
             got = getattr(result.params, name)
             want = getattr(cylinder_params, name)
@@ -405,7 +402,7 @@ class TestFit:
         omega = 2.0 * math.pi * freqs
         mu = 1000.0
         data = FrfDataset(frequencies_hz=freqs, gains=1.0 / (mu * 1j * omega))
-        result = fit(data, FitConfig())
+        result = fit(data)
         gains = freq_response(result.params, omega)
         db_err = 20.0 * np.log10(np.abs(gains) * mu * omega)
         deg_err = np.degrees(np.angle(gains)) + 90.0
@@ -419,8 +416,8 @@ class TestFit:
         scaled = FrfDataset(
             frequencies_hz=data.frequencies_hz, gains=scale * data.gains
         )
-        base = fit(data, FitConfig())
-        moved = fit(scaled, FitConfig())
+        base = fit(data)
+        moved = fit(scaled)
         assert abs(base.params.mu / moved.params.mu - scale) / scale <= 0.01
         for name in ("lambda1", "lambda2", "alpha"):
             got = getattr(moved.params, name)
@@ -439,7 +436,7 @@ class TestFit:
             beta=alpha,
         )
         data = make_synthetic_frf(truth, n_points=200)
-        result = fit(data, FitConfig())
+        result = fit(data)
         assert result.objective < 1e-12
         for name in ("mu", "lambda1", "lambda2", "alpha"):
             got = getattr(result.params, name)
@@ -451,7 +448,7 @@ class TestFit:
         # 5000-iteration budget without converging.
         data = make_synthetic_frf(cylinder_params)
         guess = perturbed_guess(cylinder_params, seed=1)
-        result = fit(data, FitConfig(model_class="IO", initial_guess=guess))
+        result = fit(data, model_class="IO", initial_guess=guess)
         assert result.converged
         assert result.iterations < 500
 
@@ -463,7 +460,7 @@ class TestFit:
         guess = FoJeffreysParams(
             mu=1e5, lambda1=0.1, lambda2=0.01, alpha=1.9, beta=1.9
         )
-        result = fit(data, FitConfig(initial_guess=guess))
+        result = fit(data, initial_guess=guess)
         assert result.converged
         assert result.objective < 1e-12
         assert validate(result.params) == []
@@ -482,13 +479,14 @@ class TestFit:
         guess = FoJeffreysParams(
             mu=mu, lambda1=lambda1, lambda2=lambda2, alpha=alpha, beta=alpha
         )
-        result = fit(data, FitConfig(initial_guess=guess))
+        result = fit(data, initial_guess=guess)
         assert result.objective < 1e-12
 
-    def test_non_convergence_carries_incumbent(self, cylinder_params):
+    def test_non_convergence_carries_incumbent(self, cylinder_params, monkeypatch):
+        monkeypatch.setattr(identify, "_MAX_EVALUATIONS", 2)
         data = make_synthetic_frf(cylinder_params)
         with pytest.raises(FitNonConvergenceError) as excinfo:
-            fit(data, FitConfig(max_iterations=2))
+            fit(data)
         incumbent = excinfo.value.result
         assert incumbent.converged is False
         assert math.isfinite(incumbent.objective)
@@ -501,7 +499,7 @@ class TestFit:
         data = make_synthetic_frf(cylinder_params)
         guess = perturbed_guess(cylinder_params, seed=1)
         with pytest.raises(FitNonConvergenceError) as excinfo:
-            fit(data, FitConfig(initial_guess=guess))
+            fit(data, initial_guess=guess)
         incumbent = excinfo.value.result
         assert incumbent.converged is False
         assert incumbent.objective < 1e-12  # the grid start's optimum
@@ -512,7 +510,7 @@ class TestFit:
         # The result's objective is its own report's sum of squares, and that
         # report is the one residual_report gives for the fitted parameters.
         data = add_frf_noise(make_synthetic_frf(cylinder_params), 0.5, 2.0, seed=0)
-        result = fit(data, FitConfig())
+        result = fit(data)
         report = result.report
         assert result.objective == report.sum_squared
         total = float(np.sum(report.residual_db**2) + np.sum(report.residual_deg**2))
@@ -525,7 +523,7 @@ class TestFit:
     def test_report_columns_read_only(self, cylinder_params):
         # The result is immutable: no write reaches its report's computed
         # columns, and the report cannot be swapped for another.
-        result = fit(make_synthetic_frf(cylinder_params), FitConfig())
+        result = fit(make_synthetic_frf(cylinder_params))
         for name in ("model_db", "model_deg", "residual_db", "residual_deg"):
             with pytest.raises(ValueError):
                 getattr(result.report, name)[0] = 0.0
@@ -541,7 +539,7 @@ class TestFit:
         monkeypatch.setattr(
             identify, "leastsq", lambda *a, **kw: calls.append(kw) or solve(*a, **kw)
         )
-        fit(make_synthetic_frf(cylinder_params), FitConfig(initial_guess=cylinder_params))
+        fit(make_synthetic_frf(cylinder_params), initial_guess=cylinder_params)
         assert len(calls) == 2
         assert all(callable(kw["Dfun"]) and kw.get("diag") is None for kw in calls)
 
