@@ -62,26 +62,21 @@ def _add_param_flags(parser: argparse.ArgumentParser, names) -> None:
         group.add_argument(f"--{name}", **_PARAM_FLAGS[name])
 
 
-def _resolve_params(args, guess: bool = False) -> FoJeffreysParams | None:
+def _resolve_params(args, **fixed) -> FoJeffreysParams:
+    """Parameters from --params, then the flags, then ``fixed``; validated unless unconstrained."""
     values = asdict(dataio.read_params(args.params)) if args.params else {}
     for name in _PARAM_NAMES:
         override = getattr(args, name, None)
         if override is not None:
             values[name] = override
-    if guess:  # fit's optional initial guess
-        if not values:
-            return None
-        values.setdefault("mu", 1.0)  # never read: the fit projects mu out
+    values.update(fixed)
     missing = [n for n in _PARAM_NAMES if n not in values and n not in ("beta", "gamma")]
     if missing:
         raise ValueError(f"missing model parameters: {', '.join(missing)}")
     values.setdefault("beta", values["alpha"])
     values.setdefault("gamma", 1.0)
     params = FoJeffreysParams(**values)
-    # fit has no --unconstrained: its initial guess need not satisfy the
-    # constraints, because the fit's parameterisation admits only constrained
-    # parameters.
-    if "unconstrained" in args and not args.unconstrained:
+    if not args.unconstrained:
         violations = validate(params)
         if violations:
             raise ValueError(
@@ -91,30 +86,16 @@ def _resolve_params(args, guess: bool = False) -> FoJeffreysParams | None:
     return params
 
 
-def _require_fine_grid(spec: SignalSpec) -> SignalSpec:
+def _signal(args, kind: str, params: FoJeffreysParams, **shape):
+    """The input on the --duration/--step grid, and the |x| at which an impulse diverges."""
+    spec = SignalSpec(kind=kind, duration=args.duration, step=args.step, **shape)
     if spec.n_samples < _MIN_GRID_SAMPLES:
         raise ValueError(
             f"grid too coarse: duration/step yields {spec.n_samples} samples, "
             f"need at least {_MIN_GRID_SAMPLES}"
         )
-    return spec
-
-
-def _signal_spec(args) -> SignalSpec:
-    return _require_fine_grid(SignalSpec(
-        kind=args.signal,
-        duration=args.duration,
-        step=args.step,
-        area=args.area,
-        amplitude=args.amplitude,
-        rate=args.rate,
-        frequency=args.frequency,
-    ))
-
-
-def _impulse_limit(spec: SignalSpec, params: FoJeffreysParams) -> float:
-    """Largest |x| an impulse response may reach before it counts as diverged."""
-    return _DIVERGENCE_FACTOR * abs(spec.area) / params.mu
+    limit = _DIVERGENCE_FACTOR * abs(spec.area) / params.mu if kind == "impulse" else None
+    return generate_signal(spec), limit
 
 
 def _trend_summary(series) -> dict:
@@ -138,9 +119,11 @@ def _cmd_freqresp(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _resolve_params(args)
-    spec = _signal_spec(args)
-    limit = _impulse_limit(spec, params) if spec.kind == "impulse" else None
-    result = simulate(params, generate_signal(spec), divergence_limit=limit)
+    signal, limit = _signal(
+        args, args.signal, params,
+        area=args.area, amplitude=args.amplitude, rate=args.rate, frequency=args.frequency,
+    )
+    result = simulate(params, signal, divergence_limit=limit)
     dataio.write_timeseries(result.input, args.out_input, (result.output, args.out_output))
     summary = {"samples": len(result.output), **_trend_summary(result.output)}
     print(json.dumps(summary, sort_keys=True))
@@ -149,7 +132,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = dataio.read_frf(args.frf)
-    guess = _resolve_params(args, guess=True)
+    guess = None
+    if args.params or any(getattr(args, name, None) is not None for name in _PARAM_NAMES):
+        # The optional initial guess. Its mu is never read: the fit projects mu out.
+        guess = _resolve_params(args, **({"mu": 1.0} if args.mu is None else {}))
     exit_code = EXIT_OK
     try:
         result = fit(data, model_class=args.model_class, initial_guess=guess)
@@ -182,14 +168,9 @@ def _cmd_impulse_study(args) -> int:
     # Each column sets its own gamma; the base parameters are validated with
     # gamma = 1, whatever a parameter file holds. Every column's parameters
     # are built, and so checked, before the first solve prints anything.
-    args.gamma = 1.0
-    base = _resolve_params(args)
+    base = _resolve_params(args, gamma=1.0)
     studies = [replace(base, gamma=g) for g in gammas]
-    spec = _require_fine_grid(SignalSpec(
-        kind="impulse", duration=args.duration, step=args.step, area=args.area
-    ))
-    signal = generate_signal(spec)
-    limit = _impulse_limit(spec, base)
+    signal, limit = _signal(args, "impulse", base, area=args.area)
 
     columns = [signal.times]
     for params in studies:
@@ -240,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--frf", required=True, help="input FRF file")
     p_fit.add_argument("--model-class", choices=("FO", "IO"), default="FO")
     p_fit.add_argument("--report", required=True, help="fit report file")
-    p_fit.set_defaults(func=_cmd_fit)
+    # fit has no --unconstrained, and never validates its initial guess: the
+    # fit's parameterisation admits only constrained parameters.
+    p_fit.set_defaults(func=_cmd_fit, unconstrained=True)
 
     p_study = add_command(
         "impulse-study", help="impulse responses for a list of integrator orders"

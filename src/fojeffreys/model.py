@@ -8,8 +8,8 @@ a four-parameter model once the physical constraints lambda2 > lambda1,
 alpha = beta and gamma = 1 are imposed. The dashpot (lambda1 = lambda2,
 alpha = beta) and the integer-order model (alpha = beta = gamma = 1) are
 points of it. ``_transfer`` is the one place this algebra is written: the
-frequency response and ``simulate``'s contour form G through it, each from
-its own powers s^p.
+frequency response and ``simulate``'s contour form G through it, each
+passing its own power function p -> s^p.
 """
 
 from __future__ import annotations
@@ -103,13 +103,18 @@ def _jw_pow(omega: np.ndarray, p: float) -> np.ndarray:
     return omega**p * complex(math.cos(half_pi_p), math.sin(half_pi_p))
 
 
-def _transfer(mu, lambda1, lambda2, z_alpha, z_beta, z_gamma):
-    """G = (lambda1 z_beta + 1) / (mu z_gamma (lambda2 z_alpha + 1)) from z_p = s^p.
+def _transfer(params: FoJeffreysParams, power):
+    """G = (lambda1 s^beta + 1) / (mu s^gamma (lambda2 s^alpha + 1)), power(p) = s^p.
 
-    The one place G's algebra lives. Its callers, ``freq_response`` and
-    ``simulate``'s contour, each evaluate the powers their own way.
+    The one place G's algebra lives, with s^alpha reused as s^beta when
+    beta = alpha. ``freq_response`` and ``simulate``'s contour each pass their own power.
     """
-    return (lambda1 * z_beta + 1.0) / (mu * z_gamma * (lambda2 * z_alpha + 1.0))
+    s_alpha = power(params.alpha)
+    s_beta = s_alpha if params.beta == params.alpha else power(params.beta)
+    s_gamma = power(params.gamma)
+    return (params.lambda1 * s_beta + 1.0) / (
+        params.mu * s_gamma * (params.lambda2 * s_alpha + 1.0)
+    )
 
 
 def freq_response(params: FoJeffreysParams, omega):
@@ -121,10 +126,6 @@ def freq_response(params: FoJeffreysParams, omega):
     w = np.asarray(omega, dtype=float)
     if w.size and not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails both
         raise ValueError("angular frequency must be finite and positive")
-    z_alpha = _jw_pow(w, params.alpha)
-    z_beta = z_alpha if params.beta == params.alpha else _jw_pow(w, params.beta)
-    out = _transfer(
-        params.mu, params.lambda1, params.lambda2, z_alpha, z_beta, _jw_pow(w, params.gamma)
-    )
+    out = _transfer(params, lambda p: _jw_pow(w, p))
     return complex(out) if w.ndim == 0 else out
 

@@ -7,8 +7,9 @@ The model is integrated once to isolate the displacement dynamics,
 and discretized with Grunwald-Letnikov sums. GL is Lubich's convolution
 quadrature with delta(zeta) = 1 - zeta: the GL weights of order a are the
 power series of (1 - zeta)^a, so the sampled response x is the power series
-of G(delta(zeta)/h) * T(zeta), T(zeta) = sum_k tau_k zeta^k, where G at
-complex s comes from ``model._transfer``, the model's one formula for G.
+of G(delta(zeta)/h) * T(zeta), T(zeta) = sum_k tau_k zeta^k. G at the
+nodes comes from ``model._transfer``, the model's one formula for G, given
+``_power``'s s^p from each block's ln|s| and arg s.
 Both x and tau carry zero history before t = 0.
 
 The first n coefficients come from the trapezoidal rule on the circle
@@ -194,19 +195,6 @@ def _node_blocks(h: float, log_rho: float, size: int) -> Iterator[tuple]:
         yield start, stop, 0.5 * np.log(re * re + im * im) - log_h, np.arctan2(im, re)
 
 
-def _times_transfer(
-    spectrum: np.ndarray, params: FoJeffreysParams, h: float, log_rho: float, size: int
-) -> None:
-    """Multiply ``spectrum[l]`` in place by G(s_l), s_l = (1 - zeta_l)/h."""
-    for start, stop, log_mod, arg in _node_blocks(h, log_rho, size):
-        s_alpha = _power(params.alpha, log_mod, arg)
-        s_beta = s_alpha if params.beta == params.alpha else _power(params.beta, log_mod, arg)
-        s_gamma = _power(params.gamma, log_mod, arg)
-        spectrum[start:stop] *= _transfer(
-            params.mu, params.lambda1, params.lambda2, s_alpha, s_beta, s_gamma
-        )
-
-
 def generate_signal(spec: SignalSpec) -> TimeSeries:
     """Sample the excitation described by ``spec`` on its grid."""
     n = spec.n_samples
@@ -269,7 +257,8 @@ def simulate(
     # only arise in the final elementwise product, at the samples it hits.
     scale = float(np.max(np.abs(tau.samples))) or 1.0
     spectrum = _input_spectrum(tau.samples / scale * damping, size)
-    _times_transfer(spectrum, params, h, log_rho, size)
+    for start, stop, log_mod, arg in _node_blocks(h, log_rho, size):
+        spectrum[start:stop] *= _transfer(params, lambda p: _power(p, log_mod, arg))
     limit = math.inf if divergence_limit is None else divergence_limit
     with np.errstate(over="ignore", invalid="ignore"):
         x = irfft(spectrum, size)[:n] / damping
@@ -375,7 +364,6 @@ def classify_late_trend(series: TimeSeries) -> str:
     """
     n = len(series)
     start = max(0, n - max(2, round(_TREND_FRACTION * n)))
-    t = series.times[start:]
     magnitude = np.abs(series.samples[start:])
     # Scaled exactly, by a power of two, so that neither the mean nor the fit
     # overflows near the top of binary64; the rate does not depend on it.
@@ -383,8 +371,9 @@ def classify_late_trend(series: TimeSeries) -> str:
     scale = float(np.mean(magnitude))
     if n < 2 or scale == 0.0:
         return "constant"
-    slope = float(np.polyfit(t, magnitude, 1)[0])
-    rate = slope / scale
+    # Least-squares slope per sample, on the centred index: no time axis to overflow.
+    k = np.arange(len(magnitude)) - 0.5 * (len(magnitude) - 1)
+    rate = float(k @ magnitude) / float(k @ k) / scale / series.step
     if rate > _TREND_RATE:
         return "growing"
     if rate < -_TREND_RATE:

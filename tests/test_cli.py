@@ -225,6 +225,20 @@ class TestSimulate:
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout)["late_trend"] == "growing"
 
+    def test_huge_step_trend_is_warning_free(self, tmp_path):
+        # A time axis near 1e300 once overflowed the late-trend line fit after
+        # the files were written; under -W error that warning exited 1.
+        src = str(Path(fojeffreys.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fojeffreys.cli", "simulate", *CYL_FLAGS,
+             "--signal", "step", "--amplitude", "1", "--duration", "1e300", "--step", "1e299",
+             "--out-input", str(tmp_path / "tau.csv"), "--out-output", str(tmp_path / "x.csv")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["late_trend"] == "constant"
+
     def test_divergence_exit_code_and_diagnostics(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -488,6 +502,28 @@ class TestFit:
             outputs.append((out, report.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_invalid_guess_mu_is_usage_error(self, tmp_path, capsys):
+        # mu is never read by the fit, but a given --mu is still checked.
+        frf = self.make_frf_file(tmp_path, capsys)
+        report = tmp_path / "report.csv"
+        code, out, err = run(
+            capsys, "fit", "--frf", str(frf), "--report", str(report),
+            "--mu", "-1", "--lambda1", "0.01", "--lambda2", "0.05", "--alpha", "1.4",
+        )
+        assert code == 2
+        assert err == "error: mu must be a positive finite number, got -1.0\n"
+        assert out == "" and not report.exists()
+
+    def test_partial_guess_names_the_missing_parameters(self, tmp_path, capsys):
+        frf = self.make_frf_file(tmp_path, capsys)
+        report = tmp_path / "report.csv"
+        code, out, err = run(
+            capsys, "fit", "--frf", str(frf), "--report", str(report), "--lambda1", "0.01"
+        )
+        assert code == 2
+        assert err == "error: missing model parameters: lambda2, alpha\n"
+        assert out == "" and not report.exists()
+
     def test_non_convergence_exit_code_writes_incumbent(self, tmp_path, capsys, monkeypatch):
         frf = self.make_frf_file(tmp_path, capsys)
         report = tmp_path / "incumbent.csv"
@@ -713,6 +749,48 @@ class TestImpulseStudy:
         )
         assert code == 2
         assert "(0, 2)" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "gammas, message",
+        [
+            ("0.9,x", "error: bad --gammas list '0.9,x'\n"),
+            (",", "error: --gammas must list at least one value\n"),
+        ],
+    )
+    def test_unreadable_gammas_list(self, tmp_path, capsys, gammas, message):
+        out = tmp_path / "s.csv"
+        code, stdout, err = run(
+            capsys,
+            "impulse-study", *CYL_FLAGS,
+            "--gammas", gammas,
+            "--duration", "1.0", "--step", "1e-2",
+            "--out", str(out),
+        )
+        assert (code, err) == (2, message)
+        assert stdout == "" and not out.exists()
+
+    def test_params_file_gamma_is_validated_as_one(self, tmp_path, capsys):
+        # The base set is checked at gamma = 1, whatever gamma the file holds:
+        # a constrained file runs, and a violation names no gamma clause.
+        values = {**CYLINDER, "beta": CYLINDER["alpha"], "gamma": 0.9}
+        params = tmp_path / "params.csv"
+        out = tmp_path / "s.csv"
+        argv = ["impulse-study", "--params", str(params), "--gammas", "0.8,1.2",
+                "--duration", "1.0", "--step", "1e-2", "--out", str(out)]
+        params.write_text("".join(f"{k},{v!r}\n" for k, v in values.items()))
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert [json.loads(line)["gamma"] for line in stdout.splitlines()] == [0.8, 1.2]
+        out.unlink()
+        values["lambda1"] = 0.05
+        params.write_text("".join(f"{k},{v!r}\n" for k, v in values.items()))
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert err == (
+            "error: parameter constraints violated (use --unconstrained to bypass): "
+            f"lambda2 must exceed lambda1 (lambda1=0.05, lambda2={CYLINDER['lambda2']})\n"
+        )
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("gammas", ["0.9999999,1", "1,1", "0.5,1.2,0.5"])

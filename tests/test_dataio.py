@@ -82,6 +82,14 @@ class TestReadFrf:
             read_frf(path)
         assert excinfo.value.line_number == 2
 
+    def test_non_finite_value_after_a_blank_line(self, tmp_path):
+        # The line-by-line scan skips the blank line and still counts it.
+        path = tmp_path / "frf.csv"
+        write_lines(path, [FRF_HEADER, "0.01,0.0,0.0", "", "0.03,inf,-100", "0.04,0.0,0.0"])
+        with pytest.raises(FrfParseError, match="non-finite value in '0.03,inf,-100'") as excinfo:
+            read_frf(path)
+        assert excinfo.value.line_number == 4
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "frf.csv"
         write_lines(path, ["freq,db,deg", "1.0,0.0,0.0"])
@@ -179,6 +187,12 @@ class TestReadTimeseries:
         path = tmp_path / "ts.csv"
         write_lines(path, ["time_s,value", "0.0,1.0", "0.1,2.0", "0.25,3.0"])
         with pytest.raises(ValueError, match="non-uniform"):
+            read_timeseries(path)
+
+    def test_non_increasing_time_rejected(self, tmp_path):
+        path = tmp_path / "ts.csv"
+        write_lines(path, ["time_s,value", "0.0,1.0", "0.0,2.0", "0.0,3.0"])
+        with pytest.raises(ValueError, match="time column must be increasing"):
             read_timeseries(path)
 
     def test_must_start_at_zero(self, tmp_path):
@@ -291,6 +305,13 @@ class TestFitReport:
         write_lines(path, ["mu,1.0", "lambda1,0.01", "lambda2,0.05"])
         with pytest.raises(ValueError, match="missing parameter fields"):
             read_params(path)
+
+    def test_read_params_bad_value_names_its_line(self, tmp_path):
+        path = tmp_path / "params.csv"
+        write_lines(path, ["# guess", "mu,abc"])
+        with pytest.raises(FrfParseError, match="bad value for 'mu': 'abc'") as excinfo:
+            read_params(path)
+        assert excinfo.value.line_number == 2
 
     def test_read_params_plain_file(self, tmp_path):
         path = tmp_path / "params.csv"

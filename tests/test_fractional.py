@@ -218,6 +218,10 @@ class TestGlDifferintegral:
         with pytest.raises(ValueError):
             gl_differintegral(series, math.nan)
 
+    def test_plain_array_rejected(self):
+        with pytest.raises(TypeError, match="gl_differintegral expects a TimeSeries"):
+            gl_differintegral(np.ones(4), 0.5)
+
 
 class TestDiracAnalytic:
     def test_unit_integration_is_one(self):

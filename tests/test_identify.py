@@ -55,6 +55,15 @@ class TestFrfDataset:
         with pytest.raises(ValueError):
             FrfDataset(frequencies_hz=freqs, gains=gains)
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            FrfDataset(frequencies_hz=np.array([0.1, 0.2, 0.4, 0.8]), gains=np.ones(3))
+
+    def test_rejects_zero_frequency(self):
+        freqs = np.array([0.0, 0.2, 0.4, 0.8])
+        with pytest.raises(ValueError, match="frequencies must be finite and positive"):
+            FrfDataset(frequencies_hz=freqs, gains=np.full(4, 1.0 + 0j))
+
     def test_rejects_non_finite(self):
         freqs = np.array([0.1, 0.2, 0.4, 0.8])
         gains = np.array([1.0, math.inf, 1.0, 1.0], dtype=complex)

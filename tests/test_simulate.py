@@ -15,6 +15,7 @@ from fojeffreys import (
     FoJeffreysParams,
     SignalSpec,
     SimulationDivergedError,
+    SimulationResult,
     TimeSeries,
     classify_late_trend,
     freq_response,
@@ -215,6 +216,16 @@ class TestSimulate:
         assert np.max(ratio[early]) < 0.6
         settled = t >= 1.5
         assert np.max(np.abs(ratio[settled] - 1.0)) <= 0.05
+
+    def test_plain_array_rejected(self, cylinder_params):
+        with pytest.raises(TypeError, match="simulate expects a TimeSeries"):
+            simulate(cylinder_params, np.ones(10))
+
+    def test_result_refuses_mismatched_lengths(self, cylinder_params):
+        signal = TimeSeries(step=1e-3, samples=np.ones(10))
+        shorter = TimeSeries(step=1e-3, samples=np.ones(9))
+        with pytest.raises(ValueError, match="share step and length"):
+            SimulationResult(input=signal, output=shorter, params=cylinder_params)
 
     def test_result_grid_consistency(self, cylinder_params):
         signal = generate_signal(
@@ -436,6 +447,10 @@ class TestSteadyStateSineGain:
         assert abs(magnitude - abs(gain)) / abs(gain) <= 0.02
         assert abs(phase - math.degrees(np.angle(gain))) <= 2.0
 
+    def test_zero_frequency_rejected(self, cylinder_params):
+        with pytest.raises(ValueError, match="frequency must be positive, got 0.0"):
+            steady_state_sine_gain(cylinder_params, 0.0, cycles=8, step=1e-3)
+
     def test_too_few_cycles_rejected(self, cylinder_params):
         with pytest.raises(ValueError):
             steady_state_sine_gain(cylinder_params, 1.0, cycles=3, step=1e-3)
@@ -599,7 +614,7 @@ class TestLateTrend:
         assert classify_late_trend(series) == "constant"
 
     def test_one_sample_is_constant(self):
-        # No slope is measurable; a line fit would fail inside LAPACK.
+        # No slope is measurable from one sample.
         assert classify_late_trend(TimeSeries(step=1.0, samples=[1.0])) == "constant"
 
     @pytest.mark.parametrize(
@@ -624,3 +639,13 @@ class TestLateTrend:
         samples = 1e306 * (6.0 + slope * t)
         assert classify_late_trend(TimeSeries(step=1e-3, samples=samples)) == trend
         assert classify_late_trend(TimeSeries(step=1e-3, samples=-samples)) == trend
+
+    @pytest.mark.parametrize(
+        ("slope", "trend"), [(1.0, "growing"), (0.0, "constant"), (-1.0, "decaying")]
+    )
+    def test_steps_near_the_top_of_binary64(self, slope, trend):
+        # The fit takes no time axis, so t near 1e300 cannot overflow it; per
+        # second, the same samples change by about 1e-300 and read "constant".
+        samples = 20.0 + slope * np.arange(11)
+        assert classify_late_trend(TimeSeries(step=1.0, samples=samples)) == trend
+        assert classify_late_trend(TimeSeries(step=1e299, samples=samples)) == "constant"

@@ -211,10 +211,7 @@ def talbot_response(params: FoJeffreysParams, input_power: int, t: float) -> flo
     """
     z, dz = _talbot_contour(t)
     log_z = np.log(z)
-    z_alpha, z_beta, z_gamma = (
-        np.exp(p * log_z) for p in (params.alpha, params.beta, params.gamma)
-    )
-    gain = _transfer(params.mu, params.lambda1, params.lambda2, z_alpha, z_beta, z_gamma)
+    gain = _transfer(params, lambda p: np.exp(p * log_z))
     integrand = np.exp(z * t - input_power * log_z) * gain * dz
     # (1 / 2 pi i) * sum * (2 pi / N); conjugate nodes make the sum real.
     return float(np.sum(integrand).imag / TALBOT_NODES)
