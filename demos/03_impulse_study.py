@@ -10,7 +10,6 @@ import numpy as np
 
 from fojeffreys import (
     FoJeffreysParams,
-    SignalSpec,
     classify_late_trend,
     dirac_differintegral_analytic,
     generate_signal,
@@ -29,7 +28,7 @@ for eta in (-0.9, -1.0, -1.1):
     )
 print("only eta = -1 stays constant; that forces gamma = 1 in the model.\n")
 
-signal = generate_signal(SignalSpec(kind="impulse", duration=2.5, step=1e-3, area=1.0))
+signal = generate_signal("impulse", duration=2.5, step=1e-3, area=1.0)
 
 print("=== simulated impulse responses, area B = 1 ===")
 print(f"{'gamma':>6} {'x(T)':>12} {'predicted limit':>16} {'late trend':>11}")

@@ -8,14 +8,14 @@ an algebraic tail, much slower than an exponential settling would.
 
 import numpy as np
 
-from fojeffreys import FoJeffreysParams, SignalSpec, generate_signal, simulate
+from fojeffreys import FoJeffreysParams, generate_signal, simulate
 
 cylinder = FoJeffreysParams(
     mu=171e3, lambda1=0.013, lambda2=0.047, alpha=1.571, beta=1.571, gamma=1.0
 )
 rate = 1000.0
 
-signal = generate_signal(SignalSpec(kind="slope", duration=3.0, step=2e-4, rate=rate))
+signal = generate_signal("slope", duration=3.0, step=2e-4, rate=rate)
 output = simulate(cylinder, signal).output
 t = output.times
 dashpot = rate * t**2 / (2.0 * cylinder.mu)

@@ -23,7 +23,6 @@ from .identify import (
 )
 from .model import FoJeffreysParams, freq_response, validate
 from .simulate import (
-    SignalSpec,
     SimulationDivergedError,
     SimulationResult,
     classify_late_trend,
@@ -41,7 +40,6 @@ __all__ = [
     "FoJeffreysParams",
     "FrfDataset",
     "ResidualReport",
-    "SignalSpec",
     "SimulationDivergedError",
     "SimulationResult",
     "TimeSeries",

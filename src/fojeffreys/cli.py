@@ -22,7 +22,7 @@ from . import dataio
 from .identify import FitNonConvergenceError, fit
 from .model import FoJeffreysParams, freq_response, validate
 from .simulate import (
-    SignalSpec,
+    _SIGNAL_KINDS,
     SimulationDivergedError,
     classify_late_trend,
     generate_signal,
@@ -88,14 +88,14 @@ def _resolve_params(args, **fixed) -> FoJeffreysParams:
 
 def _signal(args, kind: str, params: FoJeffreysParams, **shape):
     """The input on the --duration/--step grid, and the |x| at which an impulse diverges."""
-    spec = SignalSpec(kind=kind, duration=args.duration, step=args.step, **shape)
-    if spec.n_samples < _MIN_GRID_SAMPLES:
+    signal = generate_signal(kind, args.duration, args.step, **shape)
+    if len(signal) < _MIN_GRID_SAMPLES:
         raise ValueError(
-            f"grid too coarse: duration/step yields {spec.n_samples} samples, "
+            f"grid too coarse: duration/step yields {len(signal)} samples, "
             f"need at least {_MIN_GRID_SAMPLES}"
         )
-    limit = _DIVERGENCE_FACTOR * abs(spec.area) / params.mu if kind == "impulse" else None
-    return generate_signal(spec), limit
+    limit = _DIVERGENCE_FACTOR * abs(shape["area"]) / params.mu if kind == "impulse" else None
+    return signal, limit
 
 
 def _trend_summary(series) -> dict:
@@ -203,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = add_command("simulate", help="simulate the time-domain response")
     _add_param_flags(p_sim, _PARAM_FLAGS)
-    p_sim.add_argument(
-        "--signal", required=True, choices=("impulse", "step", "slope", "sine")
-    )
+    p_sim.add_argument("--signal", required=True, choices=_SIGNAL_KINDS)
     p_sim.add_argument("--area", type=float, help="impulse area")
     p_sim.add_argument("--amplitude", type=float, help="step/sine amplitude")
     p_sim.add_argument("--rate", type=float, help="slope rate per second")

@@ -52,7 +52,6 @@ from .fractional import TimeSeries, _fast_len
 from .model import FoJeffreysParams, _transfer
 
 __all__ = [
-    "SignalSpec",
     "SimulationDivergedError",
     "SimulationResult",
     "classify_late_trend",
@@ -82,67 +81,6 @@ class SimulationDivergedError(RuntimeError):
         super().__init__(
             message or f"simulation diverged at sample index {sample_index}"
         )
-
-
-@dataclass(frozen=True)
-class SignalSpec:
-    """Description of a sampled excitation signal.
-
-    ``kind`` selects the shape:
-
-    - ``impulse``: unit-area pulse of area ``area`` (first sample area/step)
-    - ``step``: constant ``amplitude`` from t = 0
-    - ``slope``: ramp ``rate * t``
-    - ``sine``: ``amplitude * sin(2*pi*frequency*t)``
-
-    ``duration`` and ``step`` fix the grid t = 0, h, ..., so the sample
-    count is floor(duration/step) + 1. At least ten samples per record are
-    recommended for simulation use.
-    """
-
-    kind: str
-    duration: float
-    step: float
-    area: float | None = None
-    amplitude: float | None = None
-    rate: float | None = None
-    frequency: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _SIGNAL_KINDS:
-            raise ValueError(
-                f"signal kind must be one of {_SIGNAL_KINDS}, got {self.kind!r}"
-            )
-        for name in ("duration", "step"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
-        if self.step > self.duration:
-            raise ValueError(
-                f"step {self.step} exceeds duration {self.duration}"
-            )
-        if not math.isfinite(self.duration / self.step):
-            raise ValueError(
-                f"duration {self.duration} / step {self.step} overflows the sample count"
-            )
-        required = {
-            "impulse": ("area",),
-            "step": ("amplitude",),
-            "slope": ("rate",),
-            "sine": ("amplitude", "frequency"),
-        }[self.kind]
-        for name in required:
-            value = getattr(self, name)
-            if value is None or not math.isfinite(float(value)):
-                raise ValueError(f"signal kind {self.kind!r} requires finite {name}")
-            object.__setattr__(self, name, float(value))
-        if self.kind == "sine" and self.frequency <= 0.0:
-            raise ValueError(f"sine frequency must be positive, got {self.frequency}")
-
-    @property
-    def n_samples(self) -> int:
-        return int(math.floor(self.duration / self.step + 1e-9)) + 1
 
 
 @dataclass(frozen=True)
@@ -195,21 +133,67 @@ def _node_blocks(h: float, log_rho: float, size: int) -> Iterator[tuple]:
         yield start, stop, 0.5 * np.log(re * re + im * im) - log_h, np.arctan2(im, re)
 
 
-def generate_signal(spec: SignalSpec) -> TimeSeries:
-    """Sample the excitation described by ``spec`` on its grid."""
-    n = spec.n_samples
-    t = np.arange(n) * spec.step
+def generate_signal(
+    kind: str,
+    duration: float,
+    step: float,
+    *,
+    area: float | None = None,
+    amplitude: float | None = None,
+    rate: float | None = None,
+    frequency: float | None = None,
+) -> TimeSeries:
+    """Sample an excitation signal on the grid t = 0, step, ...
+
+    ``kind`` selects the shape and the values it requires:
+
+    - ``impulse``: pulse of area ``area`` (first sample area/step)
+    - ``step``: constant ``amplitude`` from t = 0
+    - ``slope``: ramp ``rate * t``
+    - ``sine``: ``amplitude * sin(2*pi*frequency*t)``
+
+    The sample count is floor(duration/step) + 1. At least ten samples per
+    record are recommended for simulation use. A description that cannot
+    be sampled raises ValueError.
+    """
+    if kind not in _SIGNAL_KINDS:
+        raise ValueError(f"signal kind must be one of {_SIGNAL_KINDS}, got {kind!r}")
+    for name, value in (("duration", duration), ("step", step)):
+        value = float(value)
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    duration, step = float(duration), float(step)
+    if step > duration:
+        raise ValueError(f"step {step} exceeds duration {duration}")
+    if not math.isfinite(duration / step):
+        raise ValueError(f"duration {duration} / step {step} overflows the sample count")
+    shape = {"area": area, "amplitude": amplitude, "rate": rate, "frequency": frequency}
+    required = {
+        "impulse": ("area",),
+        "step": ("amplitude",),
+        "slope": ("rate",),
+        "sine": ("amplitude", "frequency"),
+    }[kind]
+    for name in required:
+        if shape[name] is None or not math.isfinite(float(shape[name])):
+            raise ValueError(f"signal kind {kind!r} requires finite {name}")
+        shape[name] = float(shape[name])
+    if kind == "sine" and shape["frequency"] <= 0.0:
+        raise ValueError(f"sine frequency must be positive, got {shape['frequency']}")
+
+    n = int(math.floor(duration / step + 1e-9)) + 1
+    t = np.arange(n) * step
     with np.errstate(over="ignore", invalid="ignore"):  # TimeSeries refuses a non-finite sample
-        if spec.kind == "impulse":
+        if kind == "impulse":
             samples = np.zeros(n)
-            samples[0] = spec.area / spec.step
-        elif spec.kind == "step":
-            samples = np.full(n, spec.amplitude)
-        elif spec.kind == "slope":
-            samples = spec.rate * t
+            samples[0] = shape["area"] / step
+        elif kind == "step":
+            samples = np.full(n, shape["amplitude"])
+        elif kind == "slope":
+            samples = shape["rate"] * t
         else:
-            samples = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
-    return TimeSeries(step=spec.step, samples=samples)
+            samples = shape["amplitude"] * np.sin(2.0 * math.pi * shape["frequency"] * t)
+    return TimeSeries(step=step, samples=samples)
 
 
 def simulate(
@@ -318,20 +302,15 @@ def steady_state_sine_gain(
     cycles = int(cycles)
     if cycles < 4:
         raise ValueError(f"at least 4 excitation cycles are required, got {cycles}")
-    spec = SignalSpec(  # checks the step before it divides anything
-        kind="sine",
-        duration=cycles / frequency,
-        step=step,
-        amplitude=1.0,
-        frequency=frequency,
-    )
-    samples_per_cycle = 1.0 / (frequency * spec.step)
+    # Generated first, so the step is checked before it divides anything.
+    signal = generate_signal("sine", cycles / frequency, step, amplitude=1.0, frequency=frequency)
+    samples_per_cycle = 1.0 / (frequency * signal.step)
     if samples_per_cycle < 100.0 - 1e-9:
         raise ValueError(
             "step too coarse: need at least 100 samples per cycle, got "
             f"{samples_per_cycle:.1f}"
         )
-    result = simulate(params, generate_signal(spec))
+    result = simulate(params, signal)
 
     window_cycles = cycles // 2
     window = int(round(window_cycles * samples_per_cycle))

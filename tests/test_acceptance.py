@@ -11,7 +11,6 @@ import numpy as np
 
 from fojeffreys import (
     FoJeffreysParams,
-    SignalSpec,
     TimeSeries,
     classify_late_trend,
     fit,
@@ -116,7 +115,7 @@ def test_weight_oracle():
 def test_impulse_trichotomy():
     """Impulse responses for integrator orders 0.9 / 1 / 1.1."""
     t_start = time.monotonic()
-    signal = generate_signal(SignalSpec(kind="impulse", duration=2.5, step=1e-3, area=1.0))
+    signal = generate_signal("impulse", 2.5, 1e-3, area=1.0)
     trends = {}
     plateau_dev = None
     for gamma in (0.9, 1.0, 1.1):
@@ -129,7 +128,7 @@ def test_impulse_trichotomy():
             plateau_dev = abs(plateau - target) / target
     scaled = simulate(
         cylinder(),
-        generate_signal(SignalSpec(kind="impulse", duration=2.5, step=1e-3, area=2.5)),
+        generate_signal("impulse", 2.5, 1e-3, area=2.5),
     ).output
     scaled_dev = abs(
         float(np.mean(scaled.samples[scaled.times >= 2.0])) - 2.5 / CYLINDER["mu"]
@@ -259,9 +258,7 @@ def test_slope_input_lag():
     params = cylinder()
     rate = 1000.0
     horizon = 3.0
-    signal = generate_signal(
-        SignalSpec(kind="slope", duration=horizon, step=2e-4, rate=rate)
-    )
+    signal = generate_signal("slope", horizon, 2e-4, rate=rate)
     output = simulate(params, signal).output
     t = output.times
     dashpot = rate * t**2 / (2.0 * params.mu)

@@ -14,7 +14,7 @@ import pytest
 import scipy.fft
 
 import fojeffreys.cli
-from fojeffreys import SignalSpec, SimulationResult, TimeSeries, generate_signal, identify
+from fojeffreys import SimulationResult, TimeSeries, generate_signal, identify
 from fojeffreys.cli import main
 from fojeffreys.dataio import (
     read_frf,
@@ -344,8 +344,7 @@ class TestSimulate:
         assert [t.split(b",")[0] for t in tau_lines[1:]] == [
             x.split(b",")[0] for x in x_lines[1:]
         ]
-        spec = SignalSpec(kind="slope", duration=5.0, step=1e-3, rate=2.0)
-        write_timeseries(generate_signal(spec), tmp_path / "expected.csv")
+        write_timeseries(generate_signal("slope", 5.0, 1e-3, rate=2.0), tmp_path / "expected.csv")
         expected = (tmp_path / "expected.csv").read_bytes()
         assert (tmp_path / "tau.csv").read_bytes() == expected
 
@@ -735,6 +734,19 @@ class TestImpulseStudy:
         )
         assert code == 2
         assert err.startswith("error: ") and "overflows the sample count" in err
+        assert stdout == "" and not out.exists()
+
+    def test_coarse_grid_rejected(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        code, stdout, err = run(
+            capsys,
+            "impulse-study", *CYL_FLAGS,
+            "--gammas", "0.9,1",
+            "--duration", "0.05", "--step", "0.01",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: grid too coarse: duration/step yields 6 samples, need at least 10\n"
         assert stdout == "" and not out.exists()
 
     def test_out_of_bounds_gamma(self, tmp_path, capsys):

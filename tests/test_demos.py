@@ -16,3 +16,10 @@ def test_demos_found():
 def test_demo_runs(script, capsys):
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})

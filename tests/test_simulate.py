@@ -1,6 +1,7 @@
 import gc
 import importlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from scipy.linalg import solve_triangular, toeplitz
 
 from fojeffreys import (
     FoJeffreysParams,
-    SignalSpec,
     SimulationDivergedError,
     SimulationResult,
     TimeSeries,
@@ -47,71 +47,94 @@ def unit_dashpot() -> FoJeffreysParams:
 
 class TestGenerateSignal:
     def test_impulse_is_unit_area_first_sample(self):
-        spec = SignalSpec(kind="impulse", duration=1.0, step=0.01, area=1.0)
-        signal = generate_signal(spec)
+        signal = generate_signal("impulse", 1.0, 0.01, area=1.0)
         assert signal.samples[0] == 100.0
         np.testing.assert_array_equal(signal.samples[1:], 0.0)
         assert len(signal) == 101
 
     def test_slope_ramp(self):
-        spec = SignalSpec(kind="slope", duration=1.5, step=0.5, rate=2.0)
-        np.testing.assert_array_equal(generate_signal(spec).samples, [0.0, 1.0, 2.0, 3.0])
+        signal = generate_signal("slope", 1.5, 0.5, rate=2.0)
+        np.testing.assert_array_equal(signal.samples, [0.0, 1.0, 2.0, 3.0])
 
     def test_step_constant_from_zero(self):
-        spec = SignalSpec(kind="step", duration=1.0, step=0.5, amplitude=3.0)
-        np.testing.assert_array_equal(generate_signal(spec).samples, [3.0, 3.0, 3.0])
+        signal = generate_signal("step", 1.0, 0.5, amplitude=3.0)
+        np.testing.assert_array_equal(signal.samples, [3.0, 3.0, 3.0])
 
     def test_sine_shape(self):
-        spec = SignalSpec(
-            kind="sine", duration=1.0, step=0.125, amplitude=2.0, frequency=1.0
-        )
-        signal = generate_signal(spec)
+        signal = generate_signal("sine", 1.0, 0.125, amplitude=2.0, frequency=1.0)
         t = signal.times
         np.testing.assert_allclose(
             signal.samples, 2.0 * np.sin(2.0 * math.pi * t), atol=1e-12
         )
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            {"kind": "pulse", "duration": 1.0, "step": 0.1, "area": 1.0},
-            {"kind": "impulse", "duration": 1.0, "step": 0.1},
-            {"kind": "impulse", "duration": 0.0, "step": 0.1, "area": 1.0},
-            {"kind": "step", "duration": 1.0, "step": -0.1, "amplitude": 1.0},
-            {"kind": "step", "duration": 0.05, "step": 0.1, "amplitude": 1.0},
-            {"kind": "sine", "duration": 1.0, "step": 0.1, "amplitude": 1.0},
-            {
-                "kind": "sine",
-                "duration": 1.0,
-                "step": 0.1,
-                "amplitude": 1.0,
-                "frequency": -2.0,
-            },
-            {"kind": "slope", "duration": 1.0, "step": 0.1, "rate": math.nan},
+            (
+                {"kind": "pulse", "duration": 1.0, "step": 0.1, "area": 1.0},
+                "signal kind must be one of ('impulse', 'step', 'slope', 'sine'), got 'pulse'",
+            ),
+            (
+                {"kind": "impulse", "duration": 1.0, "step": 0.1},
+                "signal kind 'impulse' requires finite area",
+            ),
+            (
+                {"kind": "impulse", "duration": 0.0, "step": 0.1, "area": 1.0},
+                "duration must be positive, got 0.0",
+            ),
+            (
+                {"kind": "step", "duration": 1.0, "step": -0.1, "amplitude": 1.0},
+                "step must be positive, got -0.1",
+            ),
+            (
+                {"kind": "step", "duration": 0.05, "step": 0.1, "amplitude": 1.0},
+                "step 0.1 exceeds duration 0.05",
+            ),
+            (
+                {"kind": "sine", "duration": 1.0, "step": 0.1, "amplitude": 1.0},
+                "signal kind 'sine' requires finite frequency",
+            ),
+            (
+                {
+                    "kind": "sine",
+                    "duration": 1.0,
+                    "step": 0.1,
+                    "amplitude": 1.0,
+                    "frequency": -2.0,
+                },
+                "sine frequency must be positive, got -2.0",
+            ),
+            (
+                {"kind": "slope", "duration": 1.0, "step": 0.1, "rate": math.nan},
+                "signal kind 'slope' requires finite rate",
+            ),
             # duration/step overflows the sample count
-            {"kind": "impulse", "duration": 2.5, "step": 1e-310, "area": 1.0},
-            {"kind": "step", "duration": 1e300, "step": 1e-10, "amplitude": 1.0},
+            (
+                {"kind": "impulse", "duration": 2.5, "step": 1e-310, "area": 1.0},
+                "duration 2.5 / step 1e-310 overflows the sample count",
+            ),
+            (
+                {"kind": "step", "duration": 1e300, "step": 1e-10, "amplitude": 1.0},
+                "duration 1e+300 / step 1e-10 overflows the sample count",
+            ),
         ],
+        ids=[f"kwargs{i}" for i in range(10)],
     )
-    def test_invalid_specs(self, kwargs):
-        with pytest.raises(ValueError):
-            SignalSpec(**kwargs)
+    def test_invalid_specs(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_signal(**kwargs)
 
 
 class TestSimulate:
     def test_dashpot_reduction_integrates_unit_step(self):
-        signal = generate_signal(
-            SignalSpec(kind="step", duration=2.0, step=1e-3, amplitude=1.0)
-        )
+        signal = generate_signal("step", 2.0, 1e-3, amplitude=1.0)
         result = simulate(unit_dashpot(), signal)
         t = result.output.times
         k = np.argmin(np.abs(t - 1.0))
         assert abs(result.output.samples[k] - 1.0) <= 0.01
 
     def test_impulse_plateau_at_cylinder_params(self, cylinder_params):
-        signal = generate_signal(
-            SignalSpec(kind="impulse", duration=2.5, step=1e-3, area=1.0)
-        )
+        signal = generate_signal("impulse", 2.5, 1e-3, area=1.0)
         result = simulate(cylinder_params, signal)
         plateau = impulse_final_value(cylinder_params, 1.0)
         t = result.output.times
@@ -125,17 +148,13 @@ class TestSimulate:
     def test_grid_refinement_keeps_plateau(self, cylinder_params):
         finals = []
         for step in (1e-3, 5e-4):
-            signal = generate_signal(
-                SignalSpec(kind="impulse", duration=2.0, step=step, area=1.0)
-            )
+            signal = generate_signal("impulse", 2.0, step, area=1.0)
             finals.append(simulate(cylinder_params, signal).output.samples[-1])
         plateau = impulse_final_value(cylinder_params, 1.0)
         assert abs(finals[1] - finals[0]) / plateau <= 0.01
 
     def test_integrator_order_trichotomy(self):
-        signal = generate_signal(
-            SignalSpec(kind="impulse", duration=2.5, step=1e-3, area=1.0)
-        )
+        signal = generate_signal("impulse", 2.5, 1e-3, area=1.0)
         trends = {
             gamma: classify_late_trend(
                 simulate(cylinder_with_gamma(gamma), signal).output
@@ -145,12 +164,8 @@ class TestSimulate:
         assert trends == {0.9: "decaying", 1.0: "constant", 1.1: "growing"}
 
     def test_linearity_and_superposition(self, cylinder_params):
-        step_sig = generate_signal(
-            SignalSpec(kind="step", duration=0.5, step=1e-3, amplitude=1.0)
-        )
-        slope_sig = generate_signal(
-            SignalSpec(kind="slope", duration=0.5, step=1e-3, rate=2.0)
-        )
+        step_sig = generate_signal("step", 0.5, 1e-3, amplitude=1.0)
+        slope_sig = generate_signal("slope", 0.5, 1e-3, rate=2.0)
         scaled = TimeSeries(step=1e-3, samples=3.0 * step_sig.samples)
         combo = TimeSeries(
             step=1e-3, samples=step_sig.samples + 0.5 * slope_sig.samples
@@ -169,17 +184,13 @@ class TestSimulate:
         params = FoJeffreysParams(
             mu=1e-3, lambda1=0.01, lambda2=0.05, alpha=1.2, beta=1.2, gamma=1.0
         )
-        signal = generate_signal(
-            SignalSpec(kind="step", duration=1.0, step=0.01, amplitude=1e308)
-        )
+        signal = generate_signal("step", 1.0, 0.01, amplitude=1e308)
         with pytest.raises(SimulationDivergedError) as excinfo:
             simulate(params, signal)
         assert excinfo.value.sample_index == 0
 
     def test_divergence_limit_enforced(self, cylinder_params):
-        signal = generate_signal(
-            SignalSpec(kind="impulse", duration=0.5, step=1e-3, area=1.0)
-        )
+        signal = generate_signal("impulse", 0.5, 1e-3, area=1.0)
         with pytest.raises(SimulationDivergedError) as excinfo:
             simulate(cylinder_params, signal, divergence_limit=1e-9)
         assert 0 <= excinfo.value.sample_index < len(signal)
@@ -205,9 +216,7 @@ class TestSimulate:
         # around t ~ 1.3 s (roughly 28 * lambda2), far later than a few
         # exponential time constants would suggest.
         rate = 1000.0
-        signal = generate_signal(
-            SignalSpec(kind="slope", duration=3.0, step=2e-4, rate=rate)
-        )
+        signal = generate_signal("slope", 3.0, 2e-4, rate=rate)
         output = simulate(cylinder_params, signal).output
         t = output.times[1:]
         ratio = output.samples[1:] / (rate * t**2 / (2.0 * cylinder_params.mu))
@@ -228,9 +237,7 @@ class TestSimulate:
             SimulationResult(input=signal, output=shorter, params=cylinder_params)
 
     def test_result_grid_consistency(self, cylinder_params):
-        signal = generate_signal(
-            SignalSpec(kind="step", duration=0.2, step=1e-3, amplitude=1.0)
-        )
+        signal = generate_signal("step", 0.2, 1e-3, amplitude=1.0)
         result = simulate(cylinder_params, signal)
         assert len(result.input) == len(result.output)
         assert result.input.step == result.output.step
@@ -399,7 +406,7 @@ class TestTransforms:
         step = 10.0 ** rng.uniform(-4.0, -2.0)
         n = int(rng.integers(2, 40_001))
         value = {"area" if kind == "impulse" else "rate": rng.uniform(0.1, 10.0)}
-        tau = generate_signal(SignalSpec(kind, (n - 1) * step, step, **value))
+        tau = generate_signal(kind, (n - 1) * step, step, **value)
         got = simulate(params, tau).output.samples
         monkeypatch.setattr(simulate_module, "rfft", rfft)
         monkeypatch.setattr(simulate_module, "irfft", irfft)
@@ -418,9 +425,7 @@ class TestImpulseFinalValue:
         assert impulse_final_value(cylinder_with_gamma(1.5), 1.0) == math.inf
 
     def test_long_horizon_simulation_oracle(self, cylinder_params):
-        signal = generate_signal(
-            SignalSpec(kind="impulse", duration=2.5, step=1e-3, area=1.0)
-        )
+        signal = generate_signal("impulse", 2.5, 1e-3, area=1.0)
         final = simulate(cylinder_params, signal).output.samples[-1]
         assert abs(final - impulse_final_value(cylinder_params, 1.0)) <= 0.02 / 171e3
 
@@ -525,9 +530,7 @@ def test_first_order_convergence_in_step(params, kind, magnitude):
     times = np.array([0.25, 0.5, 1.0, 2.0])
     values = []
     for h in (2e-3, 1e-3, 5e-4, 2.5e-4):
-        signal = generate_signal(
-            SignalSpec(kind=kind, duration=2.0, step=h, **magnitude)
-        )
+        signal = generate_signal(kind, 2.0, h, **magnitude)
         output = simulate(params, signal).output.samples
         values.append(output[np.rint(times / h).astype(int)])
     changes = [np.max(np.abs(a - b)) for a, b in zip(values, values[1:])]
@@ -555,9 +558,7 @@ def test_response_is_linear_in_the_input(case, a, b):
 def test_long_simulation_peak_memory(cylinder_params):
     # G at all L/2 + 1 = 81k contour nodes at once would hold several complex
     # temporaries of that length: an 11 MiB peak instead of about 3 MiB.
-    signal = generate_signal(
-        SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
-    )
+    signal = generate_signal("impulse", 40.0, 1e-3, area=1.0)
     simulate(cylinder_params, signal)
     tracemalloc.start()
     try:
@@ -572,9 +573,7 @@ def test_shared_nodes_peak_memory_does_not_grow_with_the_calls(cylinder_params):
     # Each call forms its nodes block by block and keeps none for the next,
     # so 12 calls peak where 3 do: one call's own peak next to the output
     # of the call before it, which the loop drops only on the next result.
-    signal = generate_signal(
-        SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
-    )
+    signal = generate_signal("impulse", 40.0, 1e-3, area=1.0)
 
     def peak(calls: int) -> int:
         tracemalloc.start()
@@ -595,9 +594,7 @@ def test_shared_nodes_peak_memory_does_not_grow_with_the_calls(cylinder_params):
 def test_long_simulation_leaves_no_reference_cycles(cylinder_params):
     # A recursion that closed over itself would leave garbage for the
     # cycle collector on every call.
-    signal = generate_signal(
-        SignalSpec(kind="impulse", duration=40.0, step=1e-3, area=1.0)
-    )
+    signal = generate_signal("impulse", 40.0, 1e-3, area=1.0)
     simulate(cylinder_params, signal)
     gc.collect()
     gc.disable()

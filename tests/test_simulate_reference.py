@@ -24,7 +24,6 @@ from scipy.integrate import quad
 
 from fojeffreys import (
     FoJeffreysParams,
-    SignalSpec,
     SimulationDivergedError,
     TimeSeries,
     generate_signal,
@@ -92,9 +91,7 @@ def _params(**overrides) -> FoJeffreysParams:
 
 def _signal(kind: str, duration: float, step: float) -> TimeSeries:
     magnitude = {"impulse": "area", "step": "amplitude", "slope": "rate"}[kind]
-    return generate_signal(
-        SignalSpec(kind=kind, duration=duration, step=step, **{magnitude: 1.0})
-    )
+    return generate_signal(kind, duration, step, **{magnitude: 1.0})
 
 
 def _normwise_error(params, signal) -> float:
@@ -155,9 +152,7 @@ def test_overflow_index_is_first_non_finite_output_sample():
         mu=1e-3, lambda1=0.01, lambda2=0.05, alpha=1.2, beta=1.2, gamma=1.0
     )
     amplitude = 1e306
-    unit = generate_signal(
-        SignalSpec(kind="step", duration=3.0, step=0.01, amplitude=1.0)
-    )
+    unit = generate_signal("step", 3.0, 0.01, amplitude=1.0)
     x_unit = simulate(params, unit).output.samples
     # By linearity the response to the large step is x_unit * amplitude.
     with np.errstate(over="ignore"):
@@ -250,9 +245,7 @@ def test_first_order_error_against_talbot(params, kind, magnitude, input_power):
     exact = np.array([talbot_response(params, input_power, t) for t in times])
     errors = []
     for h in (1e-3, 5e-4):
-        signal = generate_signal(
-            SignalSpec(kind=kind, duration=2.0, step=h, **{magnitude: 1.0})
-        )
+        signal = generate_signal(kind, 2.0, h, **{magnitude: 1.0})
         x = simulate(params, signal).output.samples
         errors.append(np.max(np.abs(x[np.rint(times / h).astype(int)] - exact)))
     assert errors[0] < 5e-3 * np.max(np.abs(exact)), errors
@@ -346,9 +339,7 @@ def test_first_order_error_against_mittag_leffler(alpha, kind, magnitude, input_
     exact = np.array([mittag_leffler_response(params, input_power, t) for t in times])
     errors = []
     for h in (1e-3, 5e-4):
-        signal = generate_signal(
-            SignalSpec(kind=kind, duration=20.0, step=h, **{magnitude: 1.0})
-        )
+        signal = generate_signal(kind, 20.0, h, **{magnitude: 1.0})
         x = simulate(params, signal).output.samples
         errors.append(np.abs(x[np.rint(times / h).astype(int)] - exact))
     scale = np.max(np.abs(exact))
@@ -369,7 +360,7 @@ def test_slope_response_meets_two_term_ramp_asymptote():
     rate = 1000.0
     errors = []
     for h in (4e-4, 2e-4):
-        signal = generate_signal(SignalSpec(kind="slope", duration=4.0, step=h, rate=rate))
+        signal = generate_signal("slope", 4.0, h, rate=rate)
         output = simulate(params, signal).output
         t = output.times
         late = t >= 2.0
