@@ -10,9 +10,10 @@ column need not be a grid.
 
 The digits are then laid out as CPython lays them out, in row order, into
 cells of four uint64 words of text with NUL holes: the sign, the digits and
-the point, the exponent, and a separator in the last byte. Each word is
-masked and marked by whole-word operations whose masks come from small
-tables, gathered per value. ``dataio`` imports this module on its first long
+the point, then the exponent. The values alone: the last byte stays NUL, for
+the writer to put each file's separator in. Each word is masked and marked
+by whole-word operations whose masks come from small tables, gathered per
+value. ``dataio`` imports this module on its first long
 table, so commands that write none do not pay to build its tables.
 """
 
@@ -207,13 +208,13 @@ def text_cells(values) -> np.ndarray:
     return np.frombuffer(text, np.uint64).reshape(-1, 4)
 
 
-def cells(values: np.ndarray, separators: np.ndarray, grid=None) -> np.ndarray:
+def cells(values: np.ndarray, grid=None) -> np.ndarray:
     """The bytes of ``repr(float(v))`` for a (rows, columns) array, row by row.
 
     Returns (rows, columns, 4) uint64 words, 32 bytes of text per value with
-    NUL holes: a "-" at byte 0, the digits and point ending at byte 23, the
-    exponent from byte 24, and the column's separator (a byte, shifted to
-    the top of a word) at byte 31. The layout is CPython's: fixed notation
+    NUL holes: a "-" at byte 0, the digits and point ending at byte 23 and
+    the exponent from byte 24. Byte 31, the top byte of word 3, is NUL: a
+    writer may put a separator there. The layout is CPython's: fixed notation
     with a digit on each side of the point for 1e-4 <= |v| < 1e16, else
     d.ddde±XX. ``grid`` = (k0, step) says that row r of column 0 may hold
     the stamp k*step, k = k0 + r; :func:`grid_digits` checks each one, and
@@ -256,11 +257,10 @@ def cells(values: np.ndarray, separators: np.ndarray, grid=None) -> np.ndarray:
     field &= after
     out |= field
     out |= marks
-    out = out.reshape(rows, columns, 4)
-    out[:, :, 3] = np.take(_EXPONENTS, k + 323).reshape(rows, columns) | separators
+    out[:, 3] = np.take(_EXPONENTS, k + 323)
     other = np.flatnonzero(~finite)
     if other.size:  # repr once per distinct value; its <= 24 bytes leave word 3 as it is
         distinct, index = np.unique(x[other].view(np.uint64), return_inverse=True)
         text = text_cells(distinct.view(float))
-        out.reshape(-1, 4)[other, :3] = text[index.ravel(), :3]
-    return out
+        out[other, :3] = text[index.ravel(), :3]
+    return out.reshape(rows, columns, 4)

@@ -14,12 +14,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 
 from . import dataio
-from .identify import FitNonConvergenceError, fit
+from .identify import _MODEL_CLASSES, FitNonConvergenceError, fit
 from .model import FoJeffreysParams, freq_response, validate
 from .simulate import (
     _SIGNAL_KINDS,
@@ -70,11 +70,10 @@ def _resolve_params(args, **fixed) -> FoJeffreysParams:
         if override is not None:
             values[name] = override
     values.update(fixed)
-    missing = [n for n in _PARAM_NAMES if n not in values and n not in ("beta", "gamma")]
+    missing = [f.name for f in fields(FoJeffreysParams)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ValueError(f"missing model parameters: {', '.join(missing)}")
-    values.setdefault("beta", values["alpha"])
-    values.setdefault("gamma", 1.0)
     params = FoJeffreysParams(**values)
     if not args.unconstrained:
         violations = validate(params)
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = add_command("fit", help="identify parameters from an FRF file")
     _add_param_flags(p_fit, ("mu", "lambda1", "lambda2", "alpha"))
     p_fit.add_argument("--frf", required=True, help="input FRF file")
-    p_fit.add_argument("--model-class", choices=("FO", "IO"), default="FO")
+    p_fit.add_argument("--model-class", choices=_MODEL_CLASSES, default="FO")
     p_fit.add_argument("--report", required=True, help="fit report file")
     # fit has no --unconstrained, and never validates its initial guess: the
     # fit's parameterisation admits only constrained parameters.

@@ -13,10 +13,11 @@ Each value is written as the bytes of ``repr(float(v))``. A table of
 ``_VECTOR_VALUES`` values or more is formatted by ``_floatrepr``, a port of
 Ryu's shortest-digit search (U. Adams, PLDI 2018) to numpy ``uint64`` arrays
 with CPython's layout: one pass per chunk of ``_CHUNK_VALUES`` values, row by
-row into 32-byte cells of text with NUL holes, which each file takes as its
-columns and strips of the NULs in one pass. A first-column value skips the
-search wherever it equals k*t_1, k its row, t_1 = m*10^-p the column's second
-value: it then prints as k*m*10^-p. Most stamps of a time grid (as
+row into 32-byte cells of text with NUL holes. Each file takes its columns,
+ORs its own commas and row-ending newline into their last bytes, and strips
+the NULs in one pass. A first-column value skips the search wherever it
+equals k*t_1, k its row, t_1 = m*10^-p the column's second value: it then
+prints as k*m*10^-p. Most stamps of a time grid (as
 ``TimeSeries.times`` makes it) do. A smaller table goes through ``repr``
 itself, so that a fit report (7 columns, up to 285 rows) never imports
 ``_floatrepr``.
@@ -47,7 +48,6 @@ __all__ = [
     "wrap_phase_deg",
     "write_columns",
     "write_frf",
-    "write_frf_rows",
     "write_fit_report",
     "write_timeseries",
 ]
@@ -91,7 +91,8 @@ def _write_tables(first_column, tables) -> None:
     formatted by ``_floatrepr``; a positive finite t_1 = first[1] is passed
     to it as a grid step, and ``grid_digits`` decides stamp by stamp which
     first-column values are k * t_1. A path named twice gets the last table.
-    A table without columns of its own must be the only one.
+    Each file ends its own rows: its cells take a comma, and its last one a
+    newline, so a table without columns of its own writes the first column.
 
     Files are opened without truncation, all of them before any is written.
     A regular file that held bytes is cut at its last written byte when the
@@ -107,10 +108,7 @@ def _write_tables(first_column, tables) -> None:
     }
     if any(len(c) != len(first) for _, columns, _ in by_file.values() for c in columns):
         raise ValueError("columns differ in length")
-    if len(by_file) > 1 and not all(columns for _, columns, _ in by_file.values()):
-        raise ValueError("a table written beside others needs columns of its own")
     columns = [first] + [c for _, table, _ in by_file.values() for c in table]
-    separators = np.full(len(columns), ord(","), np.uint64) << np.uint64(56)
     step = float(first[1]) if len(first) > 1 and 0.0 < first[1] < math.inf else None
     vector = len(first) * len(columns) >= _VECTOR_VALUES
     if vector:
@@ -128,30 +126,27 @@ def _write_tables(first_column, tables) -> None:
                 stack.callback(file.truncate)  # at the last byte written, on success or error
             file.write(header.encode() + b"\n")
             indices = [0, *range(taken, taken + len(table))]
-            separators[indices[-1]] = np.uint64(ord("\n")) << np.uint64(56)  # the row's end
-            files.append((file, indices))
+            ends = np.array([ord(",")] * len(table) + [ord("\n")], np.uint64) << np.uint64(56)
+            files.append((file, indices, ends))  # ends: each cell's last byte in this file
             taken += len(table)
         for start in range(0, len(first), rows):
             chunk = [c[start:start + rows] for c in columns]
             if vector:
                 grid = None if step is None else (start, step)
-                cells = _floatrepr.cells(np.stack(chunk, axis=1), separators, grid)
-                for file, indices in files:
-                    file.write(np.take(cells, indices, axis=1).tobytes().translate(None, b"\0"))
+                cells = _floatrepr.cells(np.stack(chunk, axis=1), grid)
+                for file, indices, ends in files:
+                    own = np.take(cells, indices, axis=1)
+                    own[:, :, 3] |= ends
+                    file.write(own.tobytes().translate(None, b"\0"))
             else:
                 text = [list(map(repr, c.tolist())) for c in chunk]
-                for file, indices in files:
+                for file, indices, _ in files:
                     file.write(_join_text([text[j] for j in indices]))
 
 
 def write_columns(header: str, columns, path) -> None:
     """Write equal-length numeric columns as rows below the ``header`` text."""
     _write_tables(columns[0], [(header, columns[1:], path)])
-
-
-def write_frf_rows(frequencies_hz, magnitude_db, phase_deg, path) -> None:
-    """Write raw FRF rows: dB and degrees as given, unchecked and unwrapped."""
-    write_columns(FRF_HEADER, (frequencies_hz, magnitude_db, phase_deg), path)
 
 
 def write_frf(frequencies_hz, gains, path) -> None:
@@ -166,7 +161,7 @@ def write_frf(frequencies_hz, gains, path) -> None:
         bad = ~np.isfinite(db + phase)
     if bad.any():
         raise ValueError(f"gain at {freqs[bad][0]:g} Hz is not finite in dB and degrees")
-    write_frf_rows(freqs, db, wrap_phase_deg(phase), path)
+    write_columns(FRF_HEADER, (freqs, db, wrap_phase_deg(phase)), path)
 
 
 def read_frf(path) -> FrfDataset:

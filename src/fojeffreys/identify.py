@@ -42,6 +42,8 @@ _MAX_EVALUATIONS = 5000  # residual evaluations per start; the Jacobian costs no
 # d(20 log10|G|) / d Re(ln G) and d(degrees arg G) / d Im(ln G).
 _DB_PER_NEPER = 20.0 / math.log(10.0)
 _DEG_PER_RAD = 180.0 / math.pi
+# The free theta coordinates of each model class: FO also estimates alpha, IO pins it to 1.
+_MODEL_CLASSES = {"FO": 3, "IO": 2}
 
 
 class FitNonConvergenceError(RuntimeError):
@@ -187,25 +189,24 @@ def _sigmoid(v: float) -> float:
     return 1.0 / (1.0 + np.exp(-min(max(v, -_LOGIT_CLIP), _LOGIT_CLIP)))
 
 
-def _pack(params: FoJeffreysParams, model_class: str) -> np.ndarray:
-    theta = [math.log(params.lambda2), _logit(params.lambda1 / params.lambda2)]
-    if model_class == "FO":
-        theta.append(_logit(params.alpha / 2.0))
-    return np.array(theta)
+def _pack(params: FoJeffreysParams) -> np.ndarray:
+    """All three coordinates of theta; a class with fewer takes the leading ones."""
+    ratio = params.lambda1 / params.lambda2
+    return np.array([math.log(params.lambda2), _logit(ratio), _logit(params.alpha / 2.0)])
 
 
-def _shape(theta: np.ndarray, fo: bool) -> tuple[float, float, float]:
+def _shape(theta: np.ndarray) -> tuple[float, float, float]:
     lambda2 = math.exp(min(max(theta[0], -_LOG_CLIP), _LOG_CLIP))
-    alpha = 2.0 * _sigmoid(theta[2]) if fo else 1.0
+    alpha = 2.0 * _sigmoid(theta[2]) if len(theta) > 2 else 1.0
     return lambda2 * _sigmoid(theta[1]), lambda2, alpha
 
 
-def _unpack(theta: np.ndarray, model_class: str) -> FoJeffreysParams:
-    lambda1, lambda2, alpha = _shape(theta, model_class == "FO")
-    return FoJeffreysParams(mu=1.0, lambda1=lambda1, lambda2=lambda2, alpha=alpha, beta=alpha)
+def _unpack(theta: np.ndarray) -> FoJeffreysParams:
+    lambda1, lambda2, alpha = _shape(theta)
+    return FoJeffreysParams(mu=1.0, lambda1=lambda1, lambda2=lambda2, alpha=alpha)
 
 
-def _lm_problem(data: FrfDataset, model_class: str):
+def _lm_problem(data: FrfDataset):
     """The reduced residual r(theta) and its closed-form Jacobian, for LM.
 
     r = [dB residual minus its mean, degree residual] of ``residual_report``
@@ -221,15 +222,14 @@ def _lm_problem(data: FrfDataset, model_class: str):
     coordinate has a zero column.
     """
     log_jomega = np.log(data.omega) + 0.5j * math.pi
-    n, fo = len(data), model_class == "FO"
-    bounds = np.array([_LOG_CLIP, _LOGIT_CLIP] + [_LOGIT_CLIP] * fo)
+    n, bounds = len(data), np.array([_LOG_CLIP, _LOGIT_CLIP, _LOGIT_CLIP])
     data_db, data_deg = data.magnitude_db, data.phase_deg_unwrapped
     cache: dict[bytes, tuple] = {}
 
     def evaluate(theta: np.ndarray) -> tuple:
         key = theta.tobytes()
         if key not in cache:
-            lambda1, lambda2, alpha = _shape(theta, fo)
+            lambda1, lambda2, alpha = _shape(theta)
             z = np.exp(alpha * log_jomega)
             w1, w2 = lambda1 * z, lambda2 * z
             cache.clear()
@@ -248,37 +248,38 @@ def _lm_problem(data: FrfDataset, model_class: str):
         q1 = w1 / (1.0 + w1)
         dq = q1 - w2 / (1.0 + w2)
         columns = [dq, _sigmoid(-theta[1]) * q1]
-        if fo:
+        if len(theta) > 2:
             columns.append((alpha * _sigmoid(-theta[2])) * log_jomega * dq)
-        d = np.column_stack(columns) * (np.abs(theta) <= bounds)
+        d = np.column_stack(columns) * (np.abs(theta) <= bounds[: len(theta)])
         db = _DB_PER_NEPER * d.real
         return np.concatenate([db - db.sum(axis=0) / n, _DEG_PER_RAD * d.imag])
 
     return residuals, jacobian
 
 
-def _grid(data: FrfDataset, model_class: str) -> tuple[np.ndarray, np.ndarray]:
+def _grid(data: FrfDataset, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid points in theta and their reduced costs ||r||^2, in closed form.
 
     The corner lambda2^(-1/alpha) spans the band +-1 decade (16 values), logit
-    rho [-3, 3] (7) and, for FO, logit(alpha/2) [-2.5, 2.5] (9). Costs are
-    taken at most at 24 log-spaced points: on all 200 points of a sweep, the
-    ranking costs more than the start saves. ln G = ln((1 + rho w) / (1 + w))
-    - ln(j omega), the logarithm of ``model._transfer`` at beta = alpha,
-    gamma = 1, mu = 1, with w = lambda2 (j omega)^alpha = x + jy formed once for
-    all rho, is taken in real arithmetic. For 0 < alpha < 2 both brackets lie
+    rho [-3, 3] (7) and, for theta of ``size`` 3 (FO), logit(alpha/2)
+    [-2.5, 2.5] (9). Costs are taken at most at 24 log-spaced points: on all
+    200 points of a sweep, the ranking costs more than the start saves.
+    ln G = ln((1 + rho w) / (1 + w)) - ln(j omega), the logarithm of
+    ``model._transfer`` at beta = alpha, gamma = 1, mu = 1, with
+    w = lambda2 (j omega)^alpha = x + jy formed once for all rho, is taken in
+    real arithmetic. For 0 < alpha < 2 both brackets lie
     in the upper half plane, so the argument of their quotient is continuous
     and needs no unwrapping; its branch is aligned at the first point.
     """
     log_w = np.log(data.omega)
     keep = np.unique(np.searchsorted(log_w, np.linspace(log_w[0], log_w[-1], 24)))
-    log_w, fo = log_w[keep], model_class == "FO"
+    log_w = log_w[keep]
     corner = np.linspace(log_w[0] - math.log(10.0), log_w[-1] + math.log(10.0), 16)
     logit_rho = np.linspace(-3.0, 3.0, 7)
-    logit_half_alpha = np.linspace(-2.5, 2.5, 9) if fo else np.zeros(1)
+    logit_half_alpha = np.linspace(-2.5, 2.5, 9) if size > 2 else np.zeros(1)
     alpha = 2.0 / (1.0 + np.exp(-logit_half_alpha))  # 1 for IO; no clip needed
     c, r, a = np.meshgrid(corner, logit_rho, logit_half_alpha, indexing="ij")
-    theta = np.stack([-alpha * c, r, a][: 2 + fo], axis=-1)
+    theta = np.stack([-alpha * c, r, a][:size], axis=-1)
     # Axes (rho, corner, alpha, point), so each rho scales one contiguous block.
     rho = (1.0 / (1.0 + np.exp(-logit_rho))).reshape(-1, 1, 1, 1)
     alpha = alpha[:, None]
@@ -295,7 +296,7 @@ def _grid(data: FrfDataset, model_class: str) -> tuple[np.ndarray, np.ndarray]:
     r_arg -= (2.0 * math.pi) * np.round(r_arg[:, :1] / (2.0 * math.pi))
     costs = _DB_PER_NEPER**2 * np.einsum("ij,ij->i", r_mag, r_mag)
     costs += _DEG_PER_RAD**2 * np.einsum("ij,ij->i", r_arg, r_arg)
-    return theta.reshape(-1, 2 + fo), costs.reshape(7, 16, -1).transpose(1, 0, 2).ravel()
+    return theta.reshape(-1, size), costs.reshape(7, 16, -1).transpose(1, 0, 2).ravel()
 
 
 def leastsq(*args, **kwargs):
@@ -333,14 +334,15 @@ def fit(
         If ``model_class`` is not "FO" or "IO", or if the data's gain level
         puts mu outside the floating-point range.
     """
-    if model_class not in ("FO", "IO"):
+    if model_class not in _MODEL_CLASSES:
         raise ValueError(f"model_class must be 'FO' or 'IO', got {model_class!r}")
-    theta, costs = _grid(data, model_class)
+    size = _MODEL_CLASSES[model_class]
+    theta, costs = _grid(data, size)
     starts = [theta[np.argmin(costs)]]
     if initial_guess is not None:
-        starts.append(_pack(initial_guess, model_class))
+        starts.append(_pack(initial_guess)[:size])
 
-    residuals, jacobian = _lm_problem(data, model_class)
+    residuals, jacobian = _lm_problem(data)
     # No diag: MINPACK scales each coordinate by its Jacobian column's norm.
     solutions = [  # each is (x, cov_x, info, message, ier)
         leastsq(
@@ -350,7 +352,7 @@ def fit(
         for start in starts
     ]
     x, _, info, _, ier = min(solutions, key=lambda sol: sol[2]["fvec"] @ sol[2]["fvec"])
-    shape = _unpack(x, model_class)
+    shape = _unpack(x)
     log10_mu = float(np.mean(residual_report(shape, data).residual_db)) / 20.0
     if abs(log10_mu) > 307.0:  # 10^-307 <= mu <= 10^307 are normal floats
         raise ValueError(f"the FRF gain level needs mu = 10^{log10_mu:.1f}, out of range")

@@ -5,9 +5,9 @@ The force-to-displacement transfer function is
     G(s) = (lambda1 * s^beta + 1) / (mu * s^gamma * (lambda2 * s^alpha + 1)),
 
 a four-parameter model once the physical constraints lambda2 > lambda1,
-alpha = beta and gamma = 1 are imposed. The dashpot (lambda1 = lambda2,
-alpha = beta) and the integer-order model (alpha = beta = gamma = 1) are
-points of it. ``_transfer`` is the one place this algebra is written: the
+alpha = beta and gamma = 1 are imposed: ``FoJeffreysParams`` defaults beta
+to alpha and gamma to 1. The dashpot (lambda1 = lambda2, alpha = beta) and
+the integer-order model (alpha = beta = gamma = 1) are points of it. ``_transfer`` is the one place this algebra is written: the
 frequency response and ``simulate``'s contour form G through it, each
 passing its own power function p -> s^p.
 """
@@ -53,7 +53,7 @@ class FoJeffreysParams:
     alpha : float
         Fractional order of the displacement branch, in (0, 2).
     beta : float
-        Fractional order of the force branch, in (0, 2).
+        Fractional order of the force branch, in (0, 2); alpha if not given.
     gamma : float
         Order of the free integrator, in (0, 2). The physical model pins
         gamma = 1; other values are admitted for unconstrained studies.
@@ -63,11 +63,13 @@ class FoJeffreysParams:
     lambda1: float
     lambda2: float
     alpha: float
-    beta: float
+    beta: float | None = None
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
         # Frozen, so each checked value is stored through object.__setattr__.
+        if self.beta is None:
+            object.__setattr__(self, "beta", self.alpha)
         for name in ("mu", "lambda1", "lambda2"):
             object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
         for name in ("alpha", "beta", "gamma"):

@@ -241,10 +241,10 @@ def simulate(
     # only arise in the final elementwise product, at the samples it hits.
     scale = float(np.max(np.abs(tau.samples))) or 1.0
     spectrum = _input_spectrum(tau.samples / scale * damping, size)
-    for start, stop, log_mod, arg in _node_blocks(h, log_rho, size):
-        spectrum[start:stop] *= _transfer(params, lambda p: _power(p, log_mod, arg))
     limit = math.inf if divergence_limit is None else divergence_limit
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G or x is a divergence
+        for start, stop, log_mod, arg in _node_blocks(h, log_rho, size):
+            spectrum[start:stop] *= _transfer(params, lambda p: _power(p, log_mod, arg))
         x = irfft(spectrum, size)[:n] / damping
         x *= scale
         bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > limit))

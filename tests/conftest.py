@@ -1,9 +1,22 @@
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fojeffreys import FoJeffreysParams, FrfDataset, freq_response, identify
+
+# Hypothesis's pytest plugin imports this module when a property test fails,
+# and its libcst import raises a DeprecationWarning from mypy_extensions. With
+# warnings as errors, that ends the whole run in an INTERNALERROR instead of
+# reporting the failure. Importing it here first, with that warning ignored,
+# leaves the plugin an import that is already done. An ini filter would not
+# do: a command-line -W error overrides it. Without libcst the plugin skips
+# the import, and so does this.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # Parameter set identified for the laboratory hydraulic cylinder; used as the
 # reference operating point throughout the suite.

@@ -17,10 +17,11 @@ import fojeffreys.cli
 from fojeffreys import SimulationResult, TimeSeries, generate_signal, identify
 from fojeffreys.cli import main
 from fojeffreys.dataio import (
+    FRF_HEADER,
     read_frf,
     read_params,
     read_timeseries,
-    write_frf_rows,
+    write_columns,
     write_timeseries,
 )
 
@@ -238,6 +239,34 @@ class TestSimulate:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout)["late_trend"] == "constant"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mu", "1e-310", *CYL_FLAGS[2:], "--signal", "step", "--amplitude", "1",
+             "--duration", "1", "--step", "1e-3"],
+            ["--mu", "171e3", "--lambda1", "1e-300", "--lambda2", "1e300", "--alpha", "1.9",
+             "--signal", "step", "--amplitude", "1", "--duration", "1", "--step", "1e-3"],
+            ["--mu", "171e3", "--lambda1", "1e300", "--lambda2", "1e301", "--alpha", "1.9",
+             "--signal", "impulse", "--area", "1", "--duration", "1", "--step", "1e-3"],
+            [*CYL_FLAGS, "--signal", "step", "--amplitude", "1",
+             "--duration", "1e-116", "--step", "1e-120"],
+        ],
+        ids=["tiny-mu", "huge-lambda2", "huge-lambdas", "tiny-step"],
+    )
+    def test_overflowing_transfer_is_a_divergence_under_w_error(self, tmp_path, argv):
+        # G overflows on the contour. Under -W error a numpy warning there
+        # once exited 1 with a traceback; it is a divergence, reported once.
+        src = str(Path(fojeffreys.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fojeffreys.cli", "simulate", *argv,
+             "--out-input", str(tmp_path / "tau.csv"), "--out-output", str(tmp_path / "x.csv")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.startswith("divergence: ") and done.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergence_exit_code_and_diagnostics(self, tmp_path, capsys):
         code, _, err = run(
@@ -606,9 +635,10 @@ class TestFit:
         frf = self.make_frf_file(tmp_path, capsys)
         data = read_frf(frf)
         scaled = tmp_path / "scaled.csv"
-        write_frf_rows(
-            data.frequencies_hz, data.magnitude_db + 20.0 * math.log10(scale),
-            data.phase_deg_unwrapped, scaled,
+        write_columns(
+            FRF_HEADER,
+            (data.frequencies_hz, data.magnitude_db + 20.0 * math.log10(scale),
+             data.phase_deg_unwrapped), scaled,
         )
         code, out, err = run(
             capsys, "fit", "--frf", str(scaled), "--report", str(tmp_path / "r.csv")
@@ -887,6 +917,13 @@ def test_option_strings_per_subcommand():
     }
 
 
+def test_model_class_choices_are_the_fit_classes():
+    parser = fojeffreys.cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (action,) = [a for a in subparsers.choices["fit"]._actions if a.dest == "model_class"]
+    assert action.choices is identify._MODEL_CLASSES
+
+
 def test_start_up_leaves_scipy_optimize_unloaded():
     # Only fit needs the least-squares solver, and its import took about
     # 0.35 s of the CLI's 0.8 s cold start-up. The transforms come from
@@ -933,7 +970,9 @@ def test_record_too_large_to_allocate_is_usage_error(tmp_path, capsys, monkeypat
     # in for, not provoked: where the kernel overcommits, such an allocation
     # succeeds and the process is killed later, which no handler can catch.
     frf = tmp_path / "frf.csv"
-    write_frf_rows(np.geomspace(0.005, 1.6, 20), np.zeros(20), np.full(20, -90.0), frf)
+    write_columns(
+        FRF_HEADER, (np.geomspace(0.005, 1.6, 20), np.zeros(20), np.full(20, -90.0)), frf
+    )
     monkeypatch.setattr(fojeffreys.cli, "generate_signal", refuse_allocation)
     monkeypatch.setattr(fojeffreys.cli, "fit", refuse_allocation)
     record = ["--duration", "1e7", "--step", "1e-3"]

@@ -23,7 +23,6 @@ from fojeffreys.dataio import (
     _VECTOR_VALUES,
     _write_tables,
     write_columns,
-    write_frf_rows,
     write_timeseries,
 )
 
@@ -438,7 +437,7 @@ def frf_rows(draw):
 def test_frf_rows_round_trip(tmp_path_factory, rows):
     freqs, db, deg = rows
     path = tmp_path_factory.mktemp("frf") / "f.csv"
-    write_frf_rows(freqs, db, deg, path)
+    write_columns(FRF_HEADER, (freqs, db, deg), path)
     data = read_frf(path)
     assert data.frequencies_hz.tobytes() == freqs.tobytes()
     assert np.max(np.abs(data.magnitude_db - db)) <= 1e-12
@@ -456,7 +455,7 @@ def test_frf_rows_round_trip_seeded_sweep(tmp_path):
         freqs = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))
         assert np.all(np.diff(freqs) > 0.0)
         db, deg = rng.uniform(-300.0, 300.0, n), rng.uniform(-1e4, 1e4, n)
-        write_frf_rows(freqs, db, deg, path)
+        write_columns(FRF_HEADER, (freqs, db, deg), path)
         data = read_frf(path)
         assert data.frequencies_hz.tobytes() == freqs.tobytes(), case
         assert np.max(np.abs(data.magnitude_db - db)) <= 1e-12, case
@@ -468,7 +467,7 @@ def test_write_frf_rows_allows_short_sweeps(tmp_path):
     # Model sweeps may be shorter than the dataset minimum; reading such a
     # file back as a dataset is what fails.
     path = tmp_path / "two.csv"
-    write_frf_rows([1.0, 2.0], [0.0, -6.0], [-90.0, -90.0], path)
+    write_columns(FRF_HEADER, ([1.0, 2.0], [0.0, -6.0], [-90.0, -90.0]), path)
     assert len(path.read_text().splitlines()) == 3
     with pytest.raises(ValueError, match="at least 4"):
         read_frf(path)
@@ -493,7 +492,8 @@ NEWLINE = np.uint64(ord("\n")) << np.uint64(56)
 def vector_repr(values, grid=None) -> list[str]:
     """The vector formatter's text for each value, as one column."""
     column = np.asarray(values, dtype=float).reshape(-1, 1)
-    cells = _floatrepr.cells(column, np.array([NEWLINE]), grid)
+    cells = _floatrepr.cells(column, grid)
+    cells[:, :, 3] |= NEWLINE
     return cells.tobytes().translate(None, b"\0").decode().splitlines()
 
 
@@ -739,15 +739,20 @@ class TestChunkedWriter:
             read_timeseries(tmp_path / "x.csv").samples, second.samples
         )
 
-    def test_table_without_columns_must_be_alone(self, tmp_path):
-        # Rows end in the last column of their table; the shared first column
-        # cannot end the rows of one file and not of another.
+    def test_table_without_columns_writes_the_first_column(self, tmp_path):
+        # Each file ends its own rows, so the shared first column ends the
+        # rows of a table without columns of its own and not of the others.
         write_columns("t", [np.arange(_VECTOR_VALUES) * 0.5], tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text().splitlines()[:3] == ["t", "0.0", "0.5"]
-        with pytest.raises(ValueError, match="columns of its own"):
-            _write_tables([0.0, 1.0], [("t", [], tmp_path / "a.csv"),
-                                       ("t,x", [[2.0, 3.0]], tmp_path / "b.csv")])
-        assert not (tmp_path / "a.csv").exists()
+        for n in (2, _VECTOR_VALUES):  # formatted by repr, then by _floatrepr
+            first, x = np.arange(n) * 0.5, np.arange(n) + 2.0
+            reference_write_columns("t", [first], tmp_path / "a1.csv")
+            reference_write_columns("t,x", [first, x], tmp_path / "b1.csv")
+            alone, beside = ("t", [], tmp_path / "a.csv"), ("t,x", [x], tmp_path / "b.csv")
+            for tables in ([alone, beside], [beside, alone]):
+                _write_tables(first, tables)
+                assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "a1.csv").read_bytes()
+                assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "b1.csv").read_bytes()
 
     def test_mismatched_grids_rejected_before_writing(self, tmp_path):
         first = TimeSeries(step=0.5, samples=np.ones(5))

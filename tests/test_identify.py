@@ -203,7 +203,7 @@ class TestPhaseBranch:
         assert np.array_equal(model_deg, unwrap_reference_deg(cylinder_params, data))
 
 
-class TestFitConfig:
+class TestFitSignature:
     @pytest.mark.parametrize("kwargs", [{"model_class": "XX"}])
     def test_invalid_config(self, cylinder_params, kwargs):
         with pytest.raises(ValueError, match="model_class"):
@@ -240,7 +240,7 @@ def rotated(data, degrees):
 # Noisy cylinder data, and a 200-point sweep whose phase crosses -180 degrees
 # at the theta of its own parameters.
 CROSSING = FoJeffreysParams(mu=1.0, lambda1=0.005, lambda2=0.1, alpha=1.9, beta=1.9)
-CROSSING_THETA = tuple(identify._pack(CROSSING, "FO"))
+CROSSING_THETA = tuple(identify._pack(CROSSING))
 LM_GATE_DATA = (
     add_frf_noise(
         make_synthetic_frf(FoJeffreysParams(**CYLINDER)), db_sigma=0.5, deg_sigma=2.0, seed=0
@@ -265,8 +265,8 @@ class TestLmResidual:
         # its first phase onto another 360-degree branch of the model's.
         data = rotated(data, degrees)
         theta = np.array(theta[: 3 if model_class == "FO" else 2])
-        residuals, _ = identify._lm_problem(data, model_class)
-        report = residual_report(identify._unpack(theta, model_class), data)
+        residuals, _ = identify._lm_problem(data)
+        report = residual_report(identify._unpack(theta), data)
         expected = np.concatenate(
             [report.residual_db - np.mean(report.residual_db), report.residual_deg]
         )
@@ -293,7 +293,7 @@ class TestJacobian:
             make_synthetic_frf(FoJeffreysParams(**CYLINDER)),
             db_sigma=0.5, deg_sigma=2.0, seed=0,
         )
-        residuals, jacobian = identify._lm_problem(data, model_class)
+        residuals, jacobian = identify._lm_problem(data)
         theta = np.array(theta[: 3 if model_class == "FO" else 2])
         bounds = np.array([300.0, 30.0, 30.0])[: len(theta)]
         jac = jacobian(theta)
@@ -356,9 +356,9 @@ class TestJacobian:
             make_synthetic_frf(FoJeffreysParams(**CYLINDER)),
             db_sigma=0.5, deg_sigma=2.0, seed=0,
         )
-        theta, costs = identify._grid(data, model_class)
+        theta, costs = identify._grid(data, identify._MODEL_CLASSES[model_class])
         assert theta.shape == ((1008, 3) if model_class == "FO" else (112, 2))
-        residuals, _ = identify._lm_problem(data, model_class)
+        residuals, _ = identify._lm_problem(data)
         reduced = [float(np.sum(residuals(t) ** 2)) for t in theta]
         np.testing.assert_allclose(costs, reduced, rtol=1e-9, atol=0.0)
 
@@ -560,9 +560,10 @@ class TestFit:
         data = add_frf_noise(
             make_synthetic_frf(cylinder_params), db_sigma=0.5, deg_sigma=2.0, seed=0
         )
-        residuals, jacobian = identify._lm_problem(data, model_class)
-        theta, costs = identify._grid(data, model_class)
-        for start in (theta[np.argmin(costs)], identify._pack(cylinder_params, model_class)):
+        size = identify._MODEL_CLASSES[model_class]
+        residuals, jacobian = identify._lm_problem(data)
+        theta, costs = identify._grid(data, size)
+        for start in (theta[np.argmin(costs)], identify._pack(cylinder_params)[:size]):
             x, _, info, _, ier = leastsq(
                 residuals, start, Dfun=jacobian, full_output=True,
                 ftol=1e-12, xtol=1e-12, gtol=1e-12, maxfev=5000,

@@ -41,6 +41,15 @@ class TestParamsAndValidation:
         )
         assert any("gamma" in v for v in validate(params))
 
+    def test_four_parameters_default_beta_and_gamma(self):
+        params = FoJeffreysParams(mu=171e3, lambda1=0.013, lambda2=0.047, alpha=1.571)
+        assert (params.beta, params.gamma) == (1.571, 1.0)
+        assert params == FoJeffreysParams(**CYLINDER) and validate(params) == []
+        explicit = FoJeffreysParams(mu=1.0, lambda1=0.1, lambda2=0.2, alpha=1.2, beta=0.8)
+        assert (explicit.alpha, explicit.beta) == (1.2, 0.8)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            FoJeffreysParams(mu=1.0, lambda1=0.1, lambda2=0.2, alpha=2.5)
+
     @pytest.mark.parametrize(
         "overrides",
         [

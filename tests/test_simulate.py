@@ -569,7 +569,7 @@ def test_long_simulation_peak_memory(cylinder_params):
     assert peak <= 5 * 2**20
 
 
-def test_shared_nodes_peak_memory_does_not_grow_with_the_calls(cylinder_params):
+def test_peak_memory_does_not_grow_with_the_calls(cylinder_params):
     # Each call forms its nodes block by block and keeps none for the next,
     # so 12 calls peak where 3 do: one call's own peak next to the output
     # of the call before it, which the loop drops only on the next result.
