@@ -9,7 +9,6 @@ data.
 from .fractional import (
     TimeSeries,
     dirac_differintegral_analytic,
-    gamma_fn,
     gl_differintegral,
     gl_weights,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "dirac_differintegral_analytic",
     "fit",
     "freq_response",
-    "gamma_fn",
     "generate_signal",
     "gl_differintegral",
     "gl_weights",

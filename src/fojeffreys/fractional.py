@@ -23,38 +23,15 @@ from numpy.fft import irfft, rfft
 __all__ = [
     "TimeSeries",
     "dirac_differintegral_analytic",
-    "gamma_fn",
     "gl_differintegral",
     "gl_weights",
 ]
 
 
-def gamma_fn(z: float) -> float:
-    """Gamma function for real arguments, via ``math.gamma``.
-
-    Where Gamma(z) overflows, for z > 171.62... or 0 < |z| < 5.6e-309, it
-    returns the infinity of its sign; below z = -171 it underflows, to a
-    subnormal and then to a zero of its sign.
-
-    Parameters
-    ----------
-    z : float
-        Evaluation point; must not be zero or a negative integer.
-
-    Raises
-    ------
-    ValueError
-        If ``z`` is non-finite or a pole of the gamma function.
-    """
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"gamma_fn requires a finite argument, got {z}")
-    if z <= 0.0 and z == math.floor(z):
-        raise ValueError(f"gamma_fn pole at z={z}")
-    try:
-        return math.gamma(z)
-    except OverflowError:  # only near z = 0, where Gamma(z) ~ 1/z, can it be negative
-        return math.copysign(math.inf, z)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only: every array a container hands out is."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -81,9 +58,8 @@ class TimeSeries:
             raise ValueError("time series samples must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(samples)):
             raise ValueError("time series samples must all be finite")
-        samples.flags.writeable = False
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _read_only(samples))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -123,8 +99,7 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     if n > 0:
         i = np.arange(1, n + 1, dtype=float)
         weights[1:] = np.cumprod(1.0 - (alpha + 1.0) / i)
-    weights.flags.writeable = False
-    return weights
+    return _read_only(weights)
 
 
 def _fast_len(n: int) -> int:
@@ -184,22 +159,29 @@ def dirac_differintegral_analytic(eta: float, t: float) -> float:
 
     Evaluates ``t^(-eta-1) / Gamma(-eta)`` for t > 0. For eta = -1 (plain
     integration) the value is identically one; for -1 < eta < 0 it decays to
-    zero and for eta < -1 it grows without bound as t increases. Where
-    Gamma(-eta) or t^(-eta-1) is not a normal double, the value is taken
-    through logarithms, exp((-eta-1)*ln t - lgamma(-eta)), with Gamma(-eta)'s
-    sign: the infinity of that sign where it overflows. Above -eta ~ 2.5e305,
-    where lgamma itself overflows, Stirling's series gives ln Gamma(-eta).
+    zero and for eta < -1 it grows without bound as t increases. Gamma(-eta)
+    is ``math.gamma``'s, or the infinity of its sign where that overflows
+    (eta < -171.62..., or 0 < |eta| < 5.6e-309). Where Gamma(-eta) or
+    t^(-eta-1) is not a normal double, the value is taken through logarithms,
+    exp((-eta-1)*ln t - lgamma(-eta)), with Gamma(-eta)'s sign. Above
+    -eta ~ 2.5e305, where lgamma itself overflows, Stirling's series gives
+    ln Gamma(-eta).
 
     Raises
     ------
     ValueError
         If ``t <= 0`` (domain error), or if ``eta`` is non-finite or a
-        non-negative integer, where ``gamma_fn`` rejects -eta as a pole.
+        non-negative integer, where -eta is a pole of the gamma function.
     """
     eta, t = float(eta), float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise ValueError(f"dirac differintegral requires t > 0, got {t}")
-    gamma = gamma_fn(-eta)  # raises at a pole before the power can overflow there
+    if not math.isfinite(eta) or (eta >= 0.0 and eta == math.floor(eta)):  # before the power
+        raise ValueError(f"Gamma(-eta) needs a finite eta off its poles 0, 1, 2, ..., got {eta}")
+    try:
+        gamma = math.gamma(-eta)
+    except OverflowError:  # only near eta = 0, where Gamma(-eta) ~ -1/eta, can it be negative
+        gamma = math.copysign(math.inf, -eta)
     with np.errstate(over="ignore", under="ignore"):  # past binary64: inf, or 0
         power = np.float64(t) ** (-eta - 1.0)
         if all(sys.float_info.min <= abs(v) < math.inf for v in (power, gamma)):

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
+from .fractional import _read_only
 from .model import FoJeffreysParams, freq_response, validate
 
 __all__ = [
@@ -61,16 +61,29 @@ class FitNonConvergenceError(RuntimeError):
 class FrfDataset:
     """Measured or synthetic frequency-response points.
 
+    Every array is the dataset's own, read-only copy. The derived columns
+    are computed once, on construction, and every residual report shares
+    them.
+
     Attributes
     ----------
     frequencies_hz : np.ndarray
         Strictly increasing positive frequencies, at least four points.
     gains : np.ndarray
         Complex gains, finite and non-zero.
+    omega : np.ndarray
+        Angular frequencies in rad/s.
+    magnitude_db : np.ndarray
+        Gain magnitudes in dB.
+    phase_deg_unwrapped : np.ndarray
+        Phase in degrees, unwrapped continuously across the sweep.
     """
 
     frequencies_hz: np.ndarray
     gains: np.ndarray
+    omega: np.ndarray = field(init=False, repr=False, compare=False)
+    magnitude_db: np.ndarray = field(init=False, repr=False, compare=False)
+    phase_deg_unwrapped: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         freqs = np.asarray(self.frequencies_hz, dtype=float)
@@ -85,36 +98,18 @@ class FrfDataset:
             raise ValueError("frequencies must be strictly increasing")
         if not np.all(np.isfinite(gains)) or np.any(gains == 0.0):
             raise ValueError("gains must be finite and non-zero")
-        freqs = freqs.copy()
-        gains = gains.copy()
-        freqs.flags.writeable = False
-        gains.flags.writeable = False
-        object.__setattr__(self, "frequencies_hz", freqs)
-        object.__setattr__(self, "gains", gains)
+        columns = {
+            "frequencies_hz": freqs.copy(),  # copies: callers keep theirs
+            "gains": gains.copy(),
+            "omega": 2.0 * math.pi * freqs,
+            "magnitude_db": 20.0 * np.log10(np.abs(gains)),
+            "phase_deg_unwrapped": np.degrees(np.unwrap(np.angle(gains))),
+        }
+        for name, column in columns.items():
+            object.__setattr__(self, name, _read_only(column))
 
     def __len__(self) -> int:
         return len(self.frequencies_hz)
-
-    # Computed once and read-only: every residual report shares them.
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """Angular frequencies in rad/s."""
-        omega = 2.0 * math.pi * self.frequencies_hz
-        omega.flags.writeable = False
-        return omega
-
-    @cached_property
-    def magnitude_db(self) -> np.ndarray:
-        db = 20.0 * np.log10(np.abs(self.gains))
-        db.flags.writeable = False
-        return db
-
-    @cached_property
-    def phase_deg_unwrapped(self) -> np.ndarray:
-        """Phase in degrees, unwrapped continuously across the sweep."""
-        deg = np.degrees(np.unwrap(np.angle(self.gains)))
-        deg.flags.writeable = False
-        return deg
 
 
 @dataclass(frozen=True)
@@ -174,10 +169,8 @@ def residual_report(params: FoJeffreysParams, data: FrfDataset) -> ResidualRepor
     # Align the 360-degree branch at the first point, so the difference of
     # the two continuous phases is branch-independent.
     model_deg = model_deg - 360.0 * round((model_deg[0] - data_deg[0]) / 360.0)
-    computed = [model_db, model_deg, model_db - data_db, model_deg - data_deg]
-    for column in computed:
-        column.flags.writeable = False
-    return ResidualReport(data.frequencies_hz, data_db, data_deg, *computed)
+    computed = (model_db, model_deg, model_db - data_db, model_deg - data_deg)
+    return ResidualReport(data.frequencies_hz, data_db, data_deg, *map(_read_only, computed))
 
 
 def _logit(x: float) -> float:

@@ -355,6 +355,25 @@ class TestSimulate:
         assert code == 2
         assert "area" in err
 
+    def test_alpha_flag_over_a_params_file_needs_beta(self, tmp_path, capsys):
+        # A parameter file states beta, and --alpha does not move it: varying
+        # the order over a file takes both flags.
+        params = tmp_path / "params.csv"
+        params.write_text("".join(f"{k},{v!r}\n" for k, v in CYLINDER.items()))
+        outputs = ["--out-input", str(tmp_path / "tau.csv"),
+                   "--out-output", str(tmp_path / "x.csv")]
+        argv = ["simulate", "--params", str(params), "--alpha", "1.5",
+                "--signal", "impulse", "--area", "1", "--duration", "1", "--step", "1e-2"]
+        code, out, err = run(capsys, *argv, *outputs)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: parameter constraints violated (use --unconstrained to bypass): "
+            "alpha must equal beta (alpha=1.5, beta=1.571)\n"
+        )
+        assert not (tmp_path / "tau.csv").exists() and not (tmp_path / "x.csv").exists()
+        code, out, err = run(capsys, *argv, "--beta", "1.5", *outputs)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["samples"] == 101
 
     def test_files_share_time_column_bytes(self, tmp_path, capsys):
         # 5001 rows span two write chunks.

@@ -434,7 +434,7 @@ def frf_rows(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(frf_rows())
-def test_frf_rows_round_trip(tmp_path_factory, rows):
+def test_raw_frf_rows_round_trip_through_write_columns(tmp_path_factory, rows):
     freqs, db, deg = rows
     path = tmp_path_factory.mktemp("frf") / "f.csv"
     write_columns(FRF_HEADER, (freqs, db, deg), path)
@@ -445,9 +445,10 @@ def test_frf_rows_round_trip(tmp_path_factory, rows):
     assert np.max(np.abs(turns - np.round(turns))) <= 1e-9
 
 
-def test_frf_rows_round_trip_seeded_sweep(tmp_path):
-    # test_frf_rows_round_trip on seeded draws from the same ranges, which do
-    # not move when the package's literals change Hypothesis's draws.
+def test_raw_frf_rows_round_trip_through_write_columns_seeded_sweep(tmp_path):
+    # test_raw_frf_rows_round_trip_through_write_columns on seeded draws from
+    # the same ranges, which do not move when the package's literals change
+    # Hypothesis's draws.
     rng = np.random.default_rng(152)
     path = tmp_path / "f.csv"
     for case in range(150):
@@ -463,7 +464,7 @@ def test_frf_rows_round_trip_seeded_sweep(tmp_path):
         assert np.max(np.abs(turns - np.round(turns))) <= 1e-9, case
 
 
-def test_write_frf_rows_allows_short_sweeps(tmp_path):
+def test_write_columns_allows_short_raw_frf_sweeps(tmp_path):
     # Model sweeps may be shorter than the dataset minimum; reading such a
     # file back as a dataset is what fails.
     path = tmp_path / "two.csv"

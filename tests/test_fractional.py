@@ -8,7 +8,6 @@ import scipy.special as sp
 from fojeffreys import (
     TimeSeries,
     dirac_differintegral_analytic,
-    gamma_fn,
     gl_differintegral,
     gl_weights,
 )
@@ -31,43 +30,6 @@ def power_rule(k: int, order: float, t: np.ndarray) -> np.ndarray:
     """Analytic differintegral of t^k: Gamma(k+1)/Gamma(k+1-order) * t^(k-order)."""
     with np.errstate(divide="ignore"):  # t = 0 with k < order; masked by callers
         return sp.gamma(k + 1) / sp.gamma(k + 1 - order) * t ** (k - order)
-
-
-class TestGammaFn:
-    def test_classical_identities(self):
-        assert math.isclose(gamma_fn(1.0), 1.0, rel_tol=1e-12)
-        assert math.isclose(gamma_fn(0.5), math.sqrt(math.pi), rel_tol=1e-12)
-        assert math.isclose(gamma_fn(5.0), 24.0, rel_tol=1e-12)
-
-    def test_reference_accuracy_over_domain(self):
-        zs = np.concatenate(
-            [np.linspace(-9.97, -0.03, 331), np.linspace(0.03, 30.0, 443)]
-        )
-        zs = zs[np.abs(zs - np.round(zs)) > 1e-3]
-        for z in zs:
-            assert abs(gamma_fn(z) - sp.gamma(z)) <= 1e-10 * abs(sp.gamma(z))
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
-    def test_pole_error(self, z):
-        with pytest.raises(ValueError):
-            gamma_fn(z)
-
-    def test_non_finite_error(self):
-        with pytest.raises(ValueError):
-            gamma_fn(math.nan)
-
-    @pytest.mark.parametrize(
-        ("z", "expected"),
-        [(171.7, math.inf), (200.0, math.inf), (1e300, math.inf),
-         (5e-324, math.inf), (-5e-324, -math.inf)],
-    )
-    def test_overflow_gives_the_signed_infinity(self, z, expected):
-        # Past 171.62... Gamma passes the largest double; near 0 it is ~1/z.
-        assert gamma_fn(z) == expected
-
-    def test_underflow_keeps_the_sign(self):
-        assert gamma_fn(-200.5) == 0.0 and math.copysign(1.0, gamma_fn(-200.5)) == -1.0
-        assert gamma_fn(-201.5) == 0.0 and math.copysign(1.0, gamma_fn(-201.5)) == 1.0
 
 
 class TestGlWeights:
@@ -144,6 +106,15 @@ class TestTimeSeries:
         series = TimeSeries(step=0.5, samples=[0.0, 1.0])
         with pytest.raises(ValueError):
             series.samples[0] = 5.0
+
+    def test_caller_array_is_copied_not_frozen(self):
+        # Freezing happens in place, so only a copy keeps the caller's
+        # array writable and out of the series' reach.
+        samples = np.array([0.0, 1.0, 2.0])
+        series = TimeSeries(step=0.5, samples=samples)
+        assert samples.flags.writeable
+        samples[0] = 5.0
+        assert series.samples.tolist() == [0.0, 1.0, 2.0]
 
 
 class TestGlDifferintegral:
@@ -254,19 +225,24 @@ class TestDiracAnalytic:
     @pytest.mark.parametrize(
         ("eta", "t"),
         [(-200.0, 1.0), (-200.0, 40.0), (-172.0, 0.5), (-180.0, 1e3),
-         (180.5, 100.0), (180.5, 1.0), (-170.5, 100.0), (150.5, 1e3), (175.5, 10.0)],
+         (180.5, 100.0), (180.5, 1.0), (-170.5, 100.0), (150.5, 1e3), (175.5, 10.0),
+         (-171.7, 10.0), (181.5, 1.0), (5e-324, 1e-300), (-5e-324, 1e-200)],
     )
     def test_orders_where_gamma_or_the_power_leaves_binary64(self, eta, t):
-        # Gamma(-eta) is inf (eta <= -172), 0 (eta = 180.5) or subnormal
-        # (175.5), or t^(-eta-1) overflows (-170.5) or underflows (150.5).
+        # Gamma(-eta) is inf (eta <= -171.7), a zero of its sign (eta = 180.5,
+        # 181.5), subnormal (175.5) or an infinity of its sign (eta = +-5e-324,
+        # where it is about -1/eta), or t^(-eta-1) overflows (-170.5) or
+        # underflows (150.5).
         # The oracle: for an integer n = -eta the product of t/k over
         # k = 1 .. n - 1; otherwise exp((-eta-1) ln t - ln|Gamma(-eta)|)
-        # with Gamma's sign, from scipy.
+        # with Gamma's sign, from scipy, where ln|Gamma(-eta)| is taken as
+        # ln|Gamma(1 - eta)| - ln|eta| (gammaln itself overflows at 5e-324).
         got = dirac_differintegral_analytic(eta, t)
         if eta == round(eta):
             expected = math.prod(t / k for k in range(1, round(-eta)))
         else:
-            log_value = (-eta - 1.0) * math.log(t) - sp.gammaln(-eta)
+            log_gamma = sp.gammaln(1.0 - eta) - math.log(abs(eta))
+            log_value = (-eta - 1.0) * math.log(t) - log_gamma
             magnitude = math.exp(log_value) if log_value < 709.0 else math.inf
             expected = sp.gammasgn(-eta) * magnitude
         assert got == expected or math.isclose(got, expected, rel_tol=1e-12)
@@ -288,7 +264,7 @@ class TestDiracAnalytic:
         expected = math.inf if log_value > 0 else 0.0
         assert dirac_differintegral_analytic(eta, t) == expected
 
-    @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("eta", [0.0, -0.0, 1.0, 2.0, 1e300, math.nan, math.inf, -math.inf])
     def test_pole_orders_rejected(self, eta):
         with pytest.raises(ValueError):
             dirac_differintegral_analytic(eta, 1.0)

@@ -83,14 +83,29 @@ class TestFrfDataset:
             data.magnitude_db[0] = 0.0
         with pytest.raises(ValueError):
             data.phase_deg_unwrapped[0] = 0.0
+        with pytest.raises(ValueError):
+            data.frequencies_hz[0] = 1.0
+        with pytest.raises(ValueError):
+            data.gains[0] = 1.0
         report = residual_report(cylinder_params, data)
         with pytest.raises(ValueError):
             report.measured_db[0] = 0.0
         with pytest.raises(ValueError):
             report.frequency_hz[0] = 1.0
 
+    def test_caller_arrays_are_copied_not_frozen(self, cylinder_params):
+        # Freezing happens in place, so only copies keep the caller's arrays
+        # writable and out of the dataset's reach.
+        source = make_synthetic_frf(cylinder_params)
+        freqs, gains = source.frequencies_hz.copy(), source.gains.copy()
+        data = FrfDataset(frequencies_hz=freqs, gains=gains)
+        assert freqs.flags.writeable and gains.flags.writeable
+        freqs[0], gains[0] = 1e-9, 1.0
+        assert data.frequencies_hz.tobytes() == source.frequencies_hz.tobytes()
+        assert data.gains.tobytes() == source.gains.tobytes()
 
-class TestObjective:
+
+class TestResidualSumSquared:
     def test_zero_for_generating_parameters(self, cylinder_params):
         data = make_synthetic_frf(cylinder_params)
         assert residual_report(cylinder_params, data).sum_squared == 0.0

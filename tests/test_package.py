@@ -17,3 +17,29 @@ def test_package_exports_exactly_its_modules_public_names():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(fojeffreys, name) is getattr(module, name), name
+
+
+def test_public_names_are_pinned():
+    # Adding or removing a public name is a decision this list records.
+    assert sorted(fojeffreys.__all__) == [
+        "FitNonConvergenceError",
+        "FitResult",
+        "FoJeffreysParams",
+        "FrfDataset",
+        "ResidualReport",
+        "SimulationDivergedError",
+        "SimulationResult",
+        "TimeSeries",
+        "classify_late_trend",
+        "dirac_differintegral_analytic",
+        "fit",
+        "freq_response",
+        "generate_signal",
+        "gl_differintegral",
+        "gl_weights",
+        "impulse_final_value",
+        "residual_report",
+        "simulate",
+        "steady_state_sine_gain",
+        "validate",
+    ]
