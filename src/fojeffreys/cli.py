@@ -143,14 +143,7 @@ def _cmd_fit(args) -> int:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         exit_code = EXIT_NO_CONVERGENCE
     dataio.write_fit_report(result, args.report)
-    summary = {
-        "model_class": args.model_class,
-        **asdict(result.params),
-        "objective": result.objective,
-        "converged": result.converged,
-        "iterations": result.iterations,
-    }
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps({"model_class": args.model_class, **result.summary}, sort_keys=True))
     return exit_code
 
 

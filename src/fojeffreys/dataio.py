@@ -211,23 +211,17 @@ def read_timeseries(path) -> TimeSeries:
 
 
 def write_fit_report(result: FitResult, path) -> None:
-    """Write identified parameters, diagnostics and ``result.report``'s table.
+    """Write ``result.summary`` as ``name,value`` rows, then ``result.report``'s table.
 
-    Evaluates no model: the table is the one the fit built. The parameter
-    block uses ``name,value`` rows, so the report doubles as a parameter
-    file for :func:`read_params`.
+    Evaluates no model: the table is the one the fit built. A float is written
+    as its ``repr`` (``inf``, ``nan`` too), a flag as ``true`` or ``false``;
+    the rows make the report a parameter file for :func:`read_params`.
     """
     report = result.report
     names = [field.name for field in dataclasses.fields(report)]
-    params = dataclasses.asdict(result.params)
-    lines = [f"{name},{float(value)!r}" for name, value in params.items()]
-    lines += [
-        f"objective,{float(result.objective)!r}",
-        f"converged,{str(result.converged).lower()}",
-        f"iterations,{result.iterations}",
-        ",".join(names),
-    ]
-    write_columns("\n".join(lines), [getattr(report, name) for name in names], path)
+    lines = [f"{k},{str(v).lower() if isinstance(v, bool) else repr(v)}"
+             for k, v in result.summary.items()]
+    write_columns("\n".join([*lines, ",".join(names)]), [getattr(report, n) for n in names], path)
 
 
 def read_params(path) -> FoJeffreysParams:

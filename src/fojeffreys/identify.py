@@ -15,7 +15,7 @@ last), where 0 < lambda1 < lambda2 and 0 < alpha < 2 hold by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -121,7 +121,8 @@ class FitResult:
     deg^2). ``iterations`` counts the residual evaluations of the winning
     start (Jacobian evaluations, which are closed form, are not counted),
     and ``converged`` reports whether that start met a tolerance before
-    exhausting its budget.
+    exhausting its budget. ``summary`` lists this outcome once, for CLI
+    ``fit``'s JSON and ``dataio.write_fit_report``'s ``name,value`` rows.
     """
 
     params: FoJeffreysParams
@@ -132,6 +133,16 @@ class FitResult:
     @property
     def objective(self) -> float:
         return self.report.sum_squared
+
+    @property
+    def summary(self) -> dict:
+        """The six parameters, then ``objective``, ``converged`` and ``iterations``."""
+        return {
+            **asdict(self.params),
+            "objective": self.objective,
+            "converged": self.converged,
+            "iterations": self.iterations,
+        }
 
 
 @dataclass(frozen=True)

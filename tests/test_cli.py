@@ -602,6 +602,31 @@ class TestFit:
         written = dataclasses.asdict(read_params(report))
         assert written == {name: summary[name] for name in CYLINDER}
 
+    @pytest.mark.parametrize("extra, unconverged", [
+        ([], False),
+        (["--model-class", "IO", "--lambda1", "0.01", "--lambda2", "0.06", "--alpha", "1.3"],
+         False),
+        (["--lambda1", "0.01", "--lambda2", "0.06", "--alpha", "1.3"], True),
+    ], ids=["fo-default", "io-guess", "unconverged"])
+    def test_report_rows_match_stdout_summary(
+        self, tmp_path, capsys, monkeypatch, extra, unconverged
+    ):
+        # The report's rows above its table and the stdout JSON are one
+        # summary: the same keys, each value in the same text.
+        frf = self.make_frf_file(tmp_path, capsys)
+        if unconverged:
+            grid_start_wins_unconverged(monkeypatch)
+        report = tmp_path / "report.csv"
+        code, out, _ = run(capsys, "fit", "--frf", str(frf), "--report", str(report), *extra)
+        assert code == (4 if unconverged else 0)
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary.pop("model_class") == ("IO" if "IO" in extra else "FO")
+        lines = report.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("frequency_hz,"))
+        rows = [line.split(",") for line in lines[:header]]
+        assert all(len(row) == 2 for row in rows) and len(rows) == len(summary)
+        assert dict(rows) == {name: json.dumps(value) for name, value in summary.items()}
+
     def test_removed_budget_flag_is_unknown(self, tmp_path, capsys):
         # The evaluation budget is a fixed constant; the flag that set it is gone.
         frf = self.make_frf_file(tmp_path, capsys)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fojeffreys import FitResult, FoJeffreysParams, TimeSeries, fit, residual_report
+from fojeffreys import (
+    FitResult,
+    FoJeffreysParams,
+    ResidualReport,
+    TimeSeries,
+    fit,
+    residual_report,
+)
 from fojeffreys import identify
 from fojeffreys.dataio import (
     FRF_HEADER,
@@ -298,6 +305,30 @@ class TestFitReport:
             "6.817393272940421,33.03043448449529",
         ]
         assert path.read_bytes().endswith(b"33.03043448449529\n")
+
+    def test_non_finite_objective_reads_inf(self, tmp_path):
+        # Each row holds the value's repr: an infinite residual's objective
+        # reads "inf", which read_params' float() parses, not JSON's "Infinity".
+        column = np.array([0.1, 0.2, 0.3, 0.4])
+        residual_db = np.array([0.0, math.inf, 0.0, 0.0])
+        report = ResidualReport(column, *[-column] * 4, residual_db, column)
+        params = FoJeffreysParams(mu=2.0, lambda1=0.01, lambda2=0.05, alpha=1.5)
+        stub = FitResult(params=params, iterations=3, converged=True, report=report)
+        path = tmp_path / "report.csv"
+        write_fit_report(stub, path)
+        assert path.read_text().splitlines()[:10] == [
+            "mu,2.0",
+            "lambda1,0.01",
+            "lambda2,0.05",
+            "alpha,1.5",
+            "beta,1.5",
+            "gamma,1.0",
+            "objective,inf",
+            "converged,true",
+            "iterations,3",
+            "frequency_hz,measured_db,measured_deg,model_db,model_deg,"
+            "residual_db,residual_deg",
+        ]
 
     def test_read_params_requires_all_fields(self, tmp_path):
         path = tmp_path / "params.csv"

@@ -131,7 +131,7 @@ class TestFreqResponse:
             freq_response(cylinder_params, omega)
 
 
-class TestReducesToDashpot:
+class TestDashpotPoint:
     # lambda1 = lambda2 with alpha = beta cancels G's brackets: 1 / (mu s^gamma).
     OMEGA = np.geomspace(1e-3, 1e3, 40)
 
